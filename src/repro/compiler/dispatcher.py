@@ -14,18 +14,19 @@ specialized callable per type signature:
   kernel to pass :func:`repro.compiler.lift.kernel_purity` with deeply
   immutable closure cells, and the key covers every remaining input.
 * **Lifted tier**: for *steady* pure kernels (control flow independent
-  of data — proven dynamically by symbolic capture), a
-  :class:`~repro.compiler.lift.BlockPlan` list (CUDA) or
+  of data — proven dynamically by symbolic capture), a set of
+  :class:`~repro.compiler.lift.BlockPlan` *variants* (CUDA) or one
   :class:`~repro.compiler.lift.RegionPlan` (OpenMP) compiled at first
   miss executes fresh data with precompiled effects, no generators.
-  Plans are keyed by a **shape digest** — kernel code + closure, launch
-  config, machine fingerprint, array dtypes/shapes, but *not* element
-  content — so a sweep re-launching the same structure over fresh RNG
-  inputs hits this tier on every launch after the first
-  (``dispatch.shape_hit``).  A :class:`~repro.compiler.lift.PlanGuard`
-  captured at lift time re-validates module globals and array structure
-  before every reuse, because the shape digest deliberately excludes
-  them-at-runtime; a guard failure recaptures instead of replaying.
+  CUDA capture is block-generic: one capture with ``blockIdx`` bound to
+  a symbol yields a variant guarded by predicates on the block index,
+  and a launch captures new variants only for blocks no existing
+  variant covers — typically one capture per launch shape, not one per
+  block.  Plans are keyed by a **shape digest** — kernel code +
+  closure, the frozen module globals the kernel reads, launch config,
+  machine fingerprint, array dtypes/shapes, but *not* element content —
+  so a sweep re-launching the same structure over fresh RNG inputs hits
+  this tier on every launch after the first (``dispatch.shape_hit``).
   When a :class:`~repro.compiler.store.PlanStore` is configured
   (``SYNCPERF_PLAN_CACHE``), plans persist on disk across processes —
   a cold process warms from disk (``dispatch.disk_hit``) before paying
@@ -44,14 +45,17 @@ entries immediately (stale entries age out of the LRU).
 Counters (docs/observability.md): ``dispatch.hit`` / ``dispatch.miss``
 (keyed launches served / not served from the replay cache),
 ``dispatch.shape_hit`` (launches/regions served from cached plans
-without recapture), ``dispatch.compile`` (plan compilations),
-``dispatch.fallback`` (launches the dispatcher examined but left to
-the fast/scalar tiers), ``dispatch.lifted_blocks``,
+without recapture), ``dispatch.compile`` (plan variants/region plans
+captured), ``dispatch.fallback`` (launches the dispatcher examined but
+left to the fast/scalar tiers — the exact sum of the per-reason
+``dispatch.fallback.unfingerprintable`` / ``.impure`` / ``.unsignable``
+/ ``.memory`` / ``.capture`` counters), ``dispatch.lifted_blocks``,
 ``dispatch.lifted_regions``, ``dispatch.evictions``, and the disk
 tier's ``dispatch.disk_hit`` / ``disk_miss`` / ``disk_write`` /
 ``disk_corrupt`` (see :mod:`repro.compiler.store`).  When a recorder
-is installed the tiers also emit spans — ``dispatch.capture``,
-``dispatch.replay``, and ``dispatch.lifted`` (with the plan
+is installed the tiers also emit spans — ``dispatch.capture`` (with
+the ``kernel_purity`` verdict and, on abort, the ``CaptureEscape``
+message), ``dispatch.replay``, and ``dispatch.lifted`` (with the plan
 ``source``) — which traced service requests carry across process
 boundaries (docs/observability.md, "Cross-process trace context").
 
@@ -66,7 +70,6 @@ from __future__ import annotations
 
 import enum
 import hashlib
-import marshal
 import os
 import threading
 import types
@@ -87,6 +90,9 @@ _C_MISS = _counter("dispatch.miss")
 _C_SHAPE_HIT = _counter("dispatch.shape_hit")
 _C_COMPILE = _counter("dispatch.compile")
 _C_FALLBACK = _counter("dispatch.fallback")
+_C_FALLBACK_BY = {reason: _counter(f"dispatch.fallback.{reason}")
+                  for reason in ("unfingerprintable", "impure",
+                                 "unsignable", "memory", "capture")}
 _C_LIFTED = _counter("dispatch.lifted_blocks")
 _C_LIFTED_REGIONS = _counter("dispatch.lifted_regions")
 _C_EVICT = _counter("dispatch.evictions")
@@ -96,6 +102,12 @@ _UNLIFTABLE = object()
 
 #: Capture attempts per kernel code object before giving up for good.
 _MAX_CAPTURE_ABORTS = 2
+
+
+def _fallback(reason: str) -> None:
+    """Count one launch left to the fast/scalar tiers, by reason."""
+    _C_FALLBACK_BY[reason].add(1)
+    _C_FALLBACK.add(1)
 
 
 # --------------------------------------------------------------------- #
@@ -207,17 +219,6 @@ def machine_fingerprint(machine) -> bytes | None:
     return digest
 
 
-_code_digests: dict = {}
-
-
-def _code_digest(code) -> bytes:
-    d = _code_digests.get(code)
-    if d is None:
-        d = hashlib.blake2b(marshal.dumps(code), digest_size=16).digest()
-        _code_digests[code] = d
-    return d
-
-
 class _Unsignable(Exception):
     pass
 
@@ -264,7 +265,7 @@ def function_signature(fn, permissive: bool, depth: int = 0,
     if seen is None:
         seen = set()
     if id(fn) in seen:
-        return ("fn-cycle", _code_digest(fn.__code__))
+        return ("fn-cycle", lift.code_digest(fn.__code__))
     seen.add(id(fn))
     try:
         cells = tuple(_freeze_cell(cell.cell_contents, permissive,
@@ -274,7 +275,7 @@ def function_signature(fn, permissive: bool, depth: int = 0,
                          for v in (fn.__defaults__ or ()))
     finally:
         seen.discard(id(fn))
-    return (_code_digest(fn.__code__), cells, defaults)
+    return (lift.code_digest(fn.__code__), cells, defaults)
 
 
 def _shape_digest(sig: tuple) -> bytes:
@@ -289,21 +290,23 @@ def _shape_digest(sig: tuple) -> bytes:
 
 
 class _PlanSet:
-    """Cached lifted plans plus their reuse guard and shipping blob.
+    """Cached lifted plans plus their pool-shipping blob.
 
-    ``plans`` is a ``BlockPlan`` list (CUDA) or a single ``RegionPlan``
-    (OpenMP); ``guard`` the :class:`~repro.compiler.lift.PlanGuard`
-    revalidated before every reuse.  ``blob``/``ship_key`` lazily cache
-    the pickled form and its content key for pool shipping — keyed by
-    content, not shape digest, so a guard-failure recapture under the
-    same shape digest can never collide with a worker's stale copy.
+    ``plans`` is a list of ``BlockPlan`` variants (CUDA) or a single
+    ``RegionPlan`` (OpenMP).  For CUDA, ``assign`` maps each block of
+    the launch shape to the index of the first variant whose guard
+    admits it (built on first use; the grid is part of the shape
+    digest).  ``blob``/``ship_key`` lazily cache the pickled variants
+    and their content key for pool shipping — keyed by content, not
+    shape digest, so growing the variant set can never collide with a
+    worker's stale copy.
     """
 
-    __slots__ = ("plans", "guard", "blob", "ship_key")
+    __slots__ = ("plans", "assign", "blob", "ship_key")
 
-    def __init__(self, plans, guard) -> None:
+    def __init__(self, plans) -> None:
         self.plans = plans
-        self.guard = guard
+        self.assign = None
         self.blob = None
         self.ship_key = None
 
@@ -442,51 +445,59 @@ class Dispatcher:
                 self._plans.popitem(last=False)
                 _C_EVICT.add(1)
 
-    def _lookup_plans(self, digest: bytes, fn, memory, capture):
-        """Plans for one shape digest: memory -> disk -> capture.
+    def _cached_plans(self, digest: bytes):
+        """Plans for one shape digest from memory, then disk.
 
-        Returns ``(plan_set, source)`` where ``plan_set`` is a
-        :class:`_PlanSet` or :data:`_UNLIFTABLE` and ``source`` is
-        ``"mem"``, ``"disk"``, ``"fresh"``, or ``None`` (unliftable).
-        A cached set whose guard fails — same shape, but a module
-        global the kernel reads changed — is recaptured, never
-        replayed.
+        Returns ``(plan_set, source)``: a :class:`_PlanSet` or
+        :data:`_UNLIFTABLE` with ``"mem"``/``"disk"``, or
+        ``(None, None)`` when nothing is cached.
         """
         pset = self._get_plans(digest)
-        if pset is _UNLIFTABLE:
-            return _UNLIFTABLE, None
         if pset is not None:
-            if pset.guard is None or pset.guard.validate(fn, memory):
-                return pset, "mem"
-            pset = None  # guard falsified: environment changed
+            return pset, "mem"
         store = self.plan_store
         if store is not None:
-            loaded = store.load(digest)
-            if loaded is not None:
-                plans, guard = loaded
-                if guard is None or guard.validate(fn, memory):
-                    pset = _PlanSet(plans, guard)
-                    self._put_plans(digest, pset)
-                    return pset, "disk"
+            plans = store.load(digest)
+            if plans is not None:
+                pset = _PlanSet(plans)
+                self._put_plans(digest, pset)
+                return pset, "disk"
+        return None, None
+
+    def _capture(self, digest: bytes, fn, capture, **attrs):
+        """Run one symbolic capture; None when it escapes.
+
+        An escape marks the shape digest unliftable, and a kernel whose
+        captures keep escaping is not re-attempted at all.  The
+        ``dispatch.capture`` span carries the kernel's purity verdict
+        and, on an escape, its message.
+        """
         code = fn.__code__
         if self._capture_aborts.get(code, 0) >= _MAX_CAPTURE_ABORTS:
             self._put_plans(digest, _UNLIFTABLE)
-            return _UNLIFTABLE, None
-        try:
-            with obs_span("dispatch.capture", kernel=fn.__name__):
-                plans = capture()
-                guard = lift.build_plan_guard(fn, memory)
-            _C_COMPILE.add(1)
-        except Exception:
-            self._capture_aborts[code] = \
-                self._capture_aborts.get(code, 0) + 1
-            self._put_plans(digest, _UNLIFTABLE)
-            return _UNLIFTABLE, None
-        pset = _PlanSet(plans, guard)
+            return None
+        with obs_span("dispatch.capture", kernel=fn.__name__,
+                      **attrs) as rec:
+            if rec is not None:
+                ok, reason = lift.kernel_purity(fn)
+                rec.annotate(purity="pure" if ok else reason)
+            try:
+                plan = capture()
+            except Exception as exc:
+                if rec is not None:
+                    rec.annotate(escape=f"{type(exc).__name__}: {exc}")
+                self._capture_aborts[code] = \
+                    self._capture_aborts.get(code, 0) + 1
+                self._put_plans(digest, _UNLIFTABLE)
+                return None
+        _C_COMPILE.add(1)
+        return plan
+
+    def _remember(self, digest: bytes, pset: _PlanSet) -> None:
+        """Cache a (new or grown) plan set in memory and on disk."""
         self._put_plans(digest, pset)
-        if store is not None:
-            store.save(digest, plans, guard)
-        return pset, "fresh"
+        if self.plan_store is not None:
+            self.plan_store.save(digest, pset.plans)
 
     def _digest_memory(self, memory) -> tuple | None:
         """(static signature, content digest, pre-bytes snapshot), or
@@ -511,44 +522,114 @@ class Dispatcher:
             h.update(buf)
         return tuple(static), h.digest(), pre
 
+    def _signatures(self, machine, fn, forced: bool):
+        """(machine fingerprint, function signature, frozen globals) for
+        one launch/region, or None after counting the fallback reason."""
+        fp = machine_fingerprint(machine)
+        if fp is None:
+            _fallback("unfingerprintable")
+            return None
+        if not forced and not lift.kernel_purity(fn)[0]:
+            _fallback("impure")
+            return None
+        try:
+            return (fp, function_signature(fn, forced),
+                    lift.freeze_function_globals(fn))
+        except (_Unsignable, lift.CaptureEscape):
+            _fallback("unsignable")
+            return None
+
     # ------------------------------- CUDA ----------------------------- #
 
     def begin_cuda(self, cuda, kernel, launch, memory, shared_decls):
         """Key one CUDA launch; returns a ticket or None (disengaged).
 
         Eligibility: dispatch mode on/force, fingerprintable device,
-        statically pure kernel with immutable cells (skipped under
-        ``force``), all-ndarray memory under the size cap.
+        statically pure kernel with immutable cells and globals
+        (skipped under ``force``), freezable module globals, all-ndarray
+        memory under the size cap.
         """
         mode = dispatch_mode()
         if mode == "off":
             return None
-        fp = machine_fingerprint(cuda.device)
-        if fp is None:
-            _C_FALLBACK.add(1)
+        sigs = self._signatures(cuda.device, kernel, mode == "force")
+        if sigs is None:
             return None
-        forced = mode == "force"
-        if not forced and not lift.kernel_purity(kernel)[0]:
-            _C_FALLBACK.add(1)
-            return None
-        try:
-            ksig = function_signature(kernel, forced)
-        except _Unsignable:
-            _C_FALLBACK.add(1)
-            return None
+        fp, ksig, gsig = sigs
         digested = self._digest_memory(memory)
         if digested is None:
-            _C_FALLBACK.add(1)
+            _fallback("memory")
             return None
         static, content, pre = digested
         shared_sig = tuple(sorted(
             (name, size, np.dtype(dt).str)
             for name, (size, dt) in shared_decls.items()))
         plan_key = _shape_digest(
-            ("cuda-plan", ksig, launch, shared_sig, fp, static))
-        key = ("cuda", ksig, launch, shared_sig, fp, static, content)
+            ("cuda-plan", ksig, gsig, launch, shared_sig, fp, static))
+        key = ("cuda", ksig, gsig, launch, shared_sig, fp, static, content)
         return _CudaTicket(self, cuda, kernel, launch, memory,
                            shared_decls, key, plan_key, pre)
+
+    def _cuda_plans(self, ticket, ctx):
+        """The launch shape's plan variants with every block assigned.
+
+        Reuses the first cached variant whose guard admits each block
+        and captures a new variant only for blocks none covers.
+        Returns ``(plan_set, source)``; ``source`` is ``"mem"``,
+        ``"disk"``, or ``"fresh"`` (some variant was captured now), and
+        ``plan_set`` is None when any capture escaped — the whole
+        launch is then unliftable.
+        """
+        digest = ticket.plan_key
+        pset, source = self._cached_plans(digest)
+        if pset is _UNLIFTABLE:
+            return None, None
+        if pset is not None and pset.assign is not None:
+            return pset, source
+        # Scan (and capture) on a private copy outside the lock, then
+        # publish the finished set whole: concurrent launches of one
+        # shape each publish valid variants, and the last writer wins.
+        variants = list(pset.plans) if pset is not None else []
+        # Block-specific variants are indexed by their block, so a
+        # kernel pinned in every block stays linear in the grid.
+        pinned = {plan.lo: i for i, plan in enumerate(variants)
+                  if plan.lo == plan.hi}
+        ranged = [i for i, plan in enumerate(variants)
+                  if plan.lo != plan.hi]
+        mem_info = {name: (arr.size, arr.dtype)
+                    for name, arr in ticket.memory.items()}
+        assign: list[int] = []
+        vi = 0
+        for b in range(ticket.launch.grid_blocks):
+            if not (vi < len(variants) and variants[vi].covers(b)):
+                vi = pinned.get(b)
+                if vi is None:
+                    vi = next((i for i in ranged if variants[i].covers(b)),
+                              None)
+                if vi is None:
+                    plan = self._capture(
+                        digest, ticket.kernel,
+                        lambda b=b: lift.capture_block_variant(
+                            ticket.cuda, ticket.kernel, ticket.launch,
+                            ctx, b, mem_info, ticket.shared_decls,
+                            ticket.cuda.max_steps),
+                        block=b)
+                    if plan is None:
+                        return None, None
+                    vi = len(variants)
+                    variants.append(plan)
+                    if plan.lo == plan.hi:
+                        pinned[b] = vi
+                    else:
+                        ranged.append(vi)
+            assign.append(vi)
+        if pset is not None and len(variants) == len(pset.plans):
+            pset.assign = assign  # nothing captured: same variants
+            return pset, source
+        pset = _PlanSet(variants)
+        pset.assign = assign
+        self._remember(digest, pset)
+        return pset, "fresh"
 
     # ------------------------------ OpenMP ---------------------------- #
 
@@ -557,29 +638,20 @@ class Dispatcher:
         mode = dispatch_mode()
         if mode == "off":
             return None
-        fp = machine_fingerprint(omp.machine)
-        if fp is None:
-            _C_FALLBACK.add(1)
+        sigs = self._signatures(omp.machine, body, mode == "force")
+        if sigs is None:
             return None
-        forced = mode == "force"
-        if not forced and not lift.kernel_purity(body)[0]:
-            _C_FALLBACK.add(1)
-            return None
-        try:
-            bsig = function_signature(body, forced)
-        except _Unsignable:
-            _C_FALLBACK.add(1)
-            return None
+        fp, bsig, gsig = sigs
         shared_map = dict(shared or {})
         digested = self._digest_memory(shared_map)
         if digested is None:
-            _C_FALLBACK.add(1)
+            _fallback("memory")
             return None
         static, content, pre = digested
         plan_key = _shape_digest(
-            ("omp-plan", bsig, omp.n_threads, omp.affinity,
+            ("omp-plan", bsig, gsig, omp.n_threads, omp.affinity,
              omp.relaxed_consistency, fp, static))
-        key = ("omp", bsig, omp.n_threads, omp.affinity,
+        key = ("omp", bsig, gsig, omp.n_threads, omp.affinity,
                omp.relaxed_consistency, fp, static, content)
         return _OmpTicket(self, omp, body, shared_map, key, plan_key, pre)
 
@@ -621,49 +693,39 @@ class _CudaTicket:
 
     def run_lifted(self, ctx, stats, budget,
                    block_jobs: int = 1) -> list[float] | None:
-        """Execute via compiled block plans; None when unliftable.
+        """Execute via compiled block-plan variants; None when unliftable.
 
-        With ``block_jobs > 1`` the plans are marshalled to the
+        With ``block_jobs > 1`` the variants are marshalled to the
         persistent worker pool (cached worker-side by content key) and
         replayed there instead of re-interpreted; any hazard falls back
         to the serial plan loop below, byte-identically.
         """
-        disp = self.disp
-
-        def capture():
-            mem_info = {name: (arr.size, arr.dtype)
-                        for name, arr in self.memory.items()}
-            return [lift.capture_block_plan(
-                self.cuda, self.kernel, self.launch, ctx, b,
-                mem_info, self.shared_decls, self.cuda.max_steps)
-                for b in range(self.launch.grid_blocks)]
-
-        pset, source = disp._lookup_plans(self.plan_key, self.kernel,
-                                          self.memory, capture)
-        if pset is _UNLIFTABLE:
-            _C_FALLBACK.add(1)
+        pset, source = self.disp._cuda_plans(self, ctx)
+        if pset is None:
+            _fallback("capture")
             return None
         if source == "mem":
             _C_SHAPE_HIT.add(1)
-        plans = pset.plans
-        with obs_span("dispatch.lifted", kind="cuda",
-                      blocks=len(plans), source=source):
+        variants, assign = pset.plans, pset.assign
+        with obs_span("dispatch.lifted", kind="cuda", blocks=len(assign),
+                      variants=len(variants), source=source):
             if block_jobs > 1 and self.launch.grid_blocks > 1:
                 from repro.cuda.parallel import try_parallel_plans
                 cycles = try_parallel_plans(pset, self.memory,
                                             self.shared_decls, stats,
                                             budget, block_jobs)
                 if cycles is not None:
-                    _C_LIFTED.add(len(plans))
+                    _C_LIFTED.add(len(assign))
                     return cycles
             from repro.cuda.fastpath import run_block_fast
             cycles: list[float] = []
             n_lifted = 0
-            for block_idx, plan in enumerate(plans):
+            for block_idx, vi in enumerate(assign):
+                plan = variants[vi]
                 if plan.steps <= budget.remaining:
                     cycles.append(plan.execute(self.memory,
                                                self.shared_decls,
-                                               stats))
+                                               stats, block_idx))
                     budget.charge(plan.steps)
                     n_lifted += 1
                 else:
@@ -743,17 +805,20 @@ class _OmpTicket:
         """
         omp = self.omp
         disp = self.disp
-
-        def capture():
+        pset, source = disp._cached_plans(self.plan_key)
+        if pset is None:
             shared_info = {name: (arr.size, arr.dtype)
                            for name, arr in self.shared_map.items()}
-            return lift.capture_region_plan(omp, self.body, shared_info,
-                                            omp.max_steps)
-
-        pset, source = disp._lookup_plans(self.plan_key, self.body,
-                                          self.shared_map, capture)
-        if pset is _UNLIFTABLE:
-            _C_FALLBACK.add(1)
+            plan = disp._capture(
+                self.plan_key, self.body,
+                lambda: lift.capture_region_plan(omp, self.body,
+                                                 shared_info,
+                                                 omp.max_steps))
+            if plan is not None:
+                pset, source = _PlanSet(plan), "fresh"
+                disp._remember(self.plan_key, pset)
+        if pset is None or pset is _UNLIFTABLE:
+            _fallback("capture")
             return None
         plan = pset.plans
         if plan.steps > omp.max_steps:

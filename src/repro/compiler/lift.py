@@ -8,32 +8,45 @@ of that bet:
 
 * **Purity analysis** (:func:`kernel_purity`): a conservative AST
   whitelist proving a kernel generator touches nothing outside its
-  thread context, its (immutable) closure cells, and the interpreter's
-  memory requests.  Only pure kernels may be memoized or lifted — an
-  impure kernel could consult ambient state the cache key cannot see.
-* **Symbolic capture** (:func:`capture_block_plan`): run one block of
-  the kernel once with :class:`Sym` placeholders fed back for every
-  value a read/atomic would produce.  Arithmetic on a ``Sym`` builds an
-  expression tree; *using* one where a concrete value is required — a
-  branch, an index, an ``int()``/``bool()`` conversion — raises
-  :class:`CaptureEscape`, proving the kernel is *not* steady, and the
-  dispatcher falls back to the batched fast tier.  A capture that runs
-  to completion yields a :class:`BlockPlan`: the pass schedule is
-  static, so per-warp clocks, stats, step charges, and the ordered list
-  of memory effects are recorded once and replayed against fresh data
-  with no generator stepping at all.
+  thread context, its (immutable) closure cells and module constants,
+  and the interpreter's memory requests.  Only pure kernels may be
+  memoized or lifted — an impure kernel could consult ambient state the
+  cache key cannot see.
+* **Block-generic symbolic capture** (:func:`capture_block_variant`):
+  run one block of the kernel once with :class:`Sym` placeholders fed
+  back for every value a read/atomic/collective would produce, and with
+  ``blockIdx`` bound to the affine symbol ``b`` (:class:`BlockAffine`).
+  Arithmetic on a ``Sym`` builds an expression tree; *using* one where a
+  concrete value is required — a branch, an index, an ``int()``/
+  ``bool()`` conversion — raises :class:`CaptureEscape`, proving the
+  kernel is *not* steady, and the dispatcher falls back to the batched
+  fast tier.  Integer arithmetic on ``b`` stays affine
+  (``base + coeff*b``); every concrete decision made on it (a
+  comparison, a bounds check, a coalescing or address-collision count)
+  is recorded as a guard predicate on ``b``, and a non-affine use
+  (``//``, ``%``, ``int()``, ``range()``, hashing) pins the capture to
+  its own block.  A capture that runs to completion yields a
+  :class:`BlockPlan` *variant*: a static pass schedule — clocks, stats,
+  step charges, and an ordered list of memory effects whose indices are
+  ``(idx_base, idx_coeff)`` pairs — valid for every block its guard
+  admits.  A launch grid is then served by a handful of variants (one
+  per distinct control path), not one capture per block.
 
 Every replayed effect reproduces the exact numpy operation sequence of
+the tier it stands in for: uniform warp passes mirror
 :func:`repro.cuda.fastpath.run_block_fast` (gathers via ``take``,
 duplicate-target writes in lane order, the three atomic serialization
-modes), so plan execution is byte-identical to the fast tier — which is
-itself pinned byte-identical to the scalar reference by the
-differential-fuzz harness.
+modes), and mixed-class passes mirror the reference pass semantics of
+:meth:`repro.cuda.interpreter.Cuda._process_gathered` (per-lane scalar
+effects, per-group costs, divergence penalties).  Plan execution is
+therefore byte-identical to the fast tier — which is itself pinned
+byte-identical to the scalar reference by the differential-fuzz harness.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import dis
 import enum
 import hashlib
@@ -67,6 +80,9 @@ _UNFN = {
     "neg": operator.neg, "pos": operator.pos,
     "invert": operator.invert, "abs": operator.abs,
 }
+_MINMAX = {"max": max, "min": min}
+_CMP_OPS = frozenset(("==", "!=", "<", "<=", ">", ">="))
+_FLOAT_OPS = frozenset(("+", "-", "*", "//", "%"))
 
 
 class Sym:
@@ -75,25 +91,61 @@ class Sym:
     Arithmetic builds an expression tree (evaluated per lane with exact
     Python semantics at plan execution); any conversion that would let
     the value steer control flow or indexing raises
-    :class:`CaptureEscape`.
+    :class:`CaptureEscape`.  ``kind`` tracks the Python type the value
+    will have — ``"i"`` (int/bool), ``"f"`` (float), or ``None``
+    (unknown) — for the cost rules that depend on it.
     """
 
-    __slots__ = ("node",)
+    __slots__ = ("node", "kind")
 
-    def __init__(self, node: tuple) -> None:
+    def __init__(self, node: tuple, kind: str | None = None) -> None:
         self.node = node
+        self.kind = kind
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Sym({self.node!r})"
 
 
+def _kind_of(v) -> str | None:
+    t = type(v)
+    if t is Sym:
+        return v.kind
+    if t is int or t is bool or t is BlockAffine:
+        return "i"
+    if t is float:
+        return "f"
+    return None
+
+
+def _node_of(v) -> tuple:
+    t = type(v)
+    if t is Sym:
+        return v.node
+    if t is BlockAffine:
+        return ("a", v.base, v.coeff)
+    return ("k", v)
+
+
+def _binop_kind(opname: str, ka, kb) -> str | None:
+    if ka is None or kb is None:
+        return None
+    if opname in _CMP_OPS:
+        return "i"
+    if opname == "/":
+        return "f"
+    if ka == "f" or kb == "f":
+        return "f" if opname in _FLOAT_OPS else None
+    return None if opname == "**" else "i"
+
+
 def _make_binop(opname: str):
     def fwd(self, other):
-        other_node = other.node if type(other) is Sym else ("k", other)
-        return Sym(("b", opname, self.node, other_node))
+        return Sym(("b", opname, self.node, _node_of(other)),
+                   _binop_kind(opname, self.kind, _kind_of(other)))
 
     def rev(self, other):
-        return Sym(("b", opname, ("k", other), self.node))
+        return Sym(("b", opname, _node_of(other), self.node),
+                   _binop_kind(opname, _kind_of(other), self.kind))
 
     return fwd, rev
 
@@ -117,7 +169,9 @@ for _op, _fname in {"==": "__eq__", "!=": "__ne__", "<": "__lt__",
 
 def _make_unop(opname: str):
     def un(self):
-        return Sym(("u", opname, self.node))
+        kind = self.kind if opname != "invert" or self.kind == "i" \
+            else None
+        return Sym(("u", opname, self.node), kind)
     return un
 
 
@@ -142,6 +196,63 @@ for _name in ("__bool__", "__index__", "__int__", "__float__",
     setattr(Sym, _name, _make_escape(_name))
 
 
+def _fold_minmax(name: str, a, b) -> Sym:
+    """``name(a, b)`` over at least one ``Sym``, as an expression node.
+
+    Evaluated later with the builtin in the same argument order, so
+    float ``-0.0``/NaN ordering matches ``max(a, b)`` exactly; folding
+    ``max(a, b, c)`` as ``max(max(a, b), c)`` is the builtin's own
+    left-to-right order.
+    """
+    ka, kb = _kind_of(a), _kind_of(b)
+    return Sym(("m", name, _node_of(a), _node_of(b)),
+               ka if ka == kb else None)
+
+
+def _symbolic_minmax(name: str):
+    builtin = _MINMAX[name]
+
+    def minmax(*args, **kwargs):
+        items = args[0] if len(args) == 1 \
+            and type(args[0]) in (list, tuple) else args
+        if kwargs or len(items) < 2 \
+                or not any(type(x) is Sym for x in items):
+            return builtin(*args, **kwargs)
+        acc = items[0]
+        for x in items[1:]:
+            acc = _fold_minmax(name, acc, x)
+        return acc
+
+    minmax.__name__ = name
+    return minmax
+
+
+_SYMBOLIC_BUILTINS = {name: _symbolic_minmax(name) for name in _MINMAX}
+
+
+def _symbolic_clone(fn):
+    """``fn`` with builtin ``max``/``min`` rebound to Sym-aware folds.
+
+    Only names the code actually loads as globals *and* that resolve to
+    the builtins are rebound (a module that shadows ``max`` keeps its
+    own).  The clone shares code, defaults, and closure; only its
+    globals mapping is a copy.
+    """
+    g = fn.__globals__
+    loaded = _global_load_names(fn.__code__)
+    bmod = g.get("__builtins__", builtins)
+    bdict = bmod if isinstance(bmod, dict) else vars(bmod)
+    rebind = {name: f for name, f in _SYMBOLIC_BUILTINS.items()
+              if name in loaded and name not in g
+              and bdict.get(name) is _MINMAX[name]}
+    if not rebind:
+        return fn
+    clone = types.FunctionType(fn.__code__, {**g, **rebind}, fn.__name__,
+                               fn.__defaults__, fn.__closure__)
+    clone.__kwdefaults__ = fn.__kwdefaults__
+    return clone
+
+
 def _eval_node(node: tuple, env: list):
     """Evaluate a ``Sym`` expression tree against the slot environment.
 
@@ -160,18 +271,352 @@ def _eval_node(node: tuple, env: list):
     return _UNFN[node[1]](_eval_node(node[2], env))
 
 
-def _value_spec(values: list) -> tuple:
-    """Encode one pass's per-lane values: constants stay materialized."""
-    if any(type(v) is Sym for v in values):
-        return ("E", tuple(v.node if type(v) is Sym else ("k", v)
-                           for v in values))
-    return ("C", list(values))
+_UNARY_SRC = {"neg": "-{}", "pos": "+{}", "invert": "~{}",
+              "abs": "abs({})"}
 
 
-def _eval_spec(spec: tuple, env: list) -> list:
-    if spec[0] == "C":
-        return spec[1]
-    return [_eval_node(node, env) for node in spec[1]]
+def _compile_values(nodes: tuple):
+    """Compile one pass's per-lane value expressions to Python code.
+
+    Returns ``f(env, b) -> list`` evaluating every node once (a subtree
+    shared between lanes is computed once), in the order a depth-first
+    walk of the lanes first needs it, with the very operators the
+    kernel applied (``a + b`` is ``operator.add(a, b)``) — so values
+    match the stepped tiers' per-lane Python arithmetic exactly, and
+    no Python call is paid per node.  Constants (and affine
+    coefficients) are passed by reference, never re-parsed from their
+    ``repr``.
+    """
+    consts: list = []
+    lines: list[str] = []
+    names: dict[int, str] = {}
+
+    def const(value) -> str:
+        consts.append(value)
+        return f"K[{len(consts) - 1}]"
+
+    def ref(node) -> str:
+        tag = node[0]
+        if tag == "k":
+            return const(node[1])
+        if tag == "s":
+            return f"env[{node[1]}][{node[2]}]"
+        if tag == "a":
+            return f"({const(node[1])} + {const(node[2])} * b)"
+        name = names.get(id(node))
+        if name is None:
+            if tag == "b":
+                code = f"{ref(node[2])} {node[1]} {ref(node[3])}"
+            elif tag == "m":
+                code = f"{node[1]}({ref(node[2])}, {ref(node[3])})"
+            else:
+                code = _UNARY_SRC[node[1]].format(ref(node[2]))
+            name = f"v{len(names)}"
+            lines.append(f"    {name} = {code}\n")
+            names[id(node)] = name
+        return name
+
+    outs = ", ".join(ref(node) for node in nodes)
+    source = "def values(env, b):\n" + "".join(lines) \
+        + f"    return [{outs}]\n"
+    scope = {"K": consts, "max": max, "min": min, "abs": abs}
+    exec(compile(source, "<block plan values>", "exec"), scope)
+    return scope["values"]
+
+
+class _LaneValues:
+    """One pass's per-lane value expressions, compiled on first use
+    (only the expression trees are pickled)."""
+
+    __slots__ = ("nodes", "fn")
+
+    def __init__(self, nodes: tuple) -> None:
+        self.nodes = nodes
+        self.fn = None
+
+    def __reduce__(self):
+        return _LaneValues, (self.nodes,)
+
+    def __call__(self, env: list, b: int) -> list:
+        if self.fn is None:
+            self.fn = _compile_values(self.nodes)
+        return self.fn(env, b)
+
+
+#: Ceilings on one pass's value expressions: distinct nodes (plan
+#: memory, compile and evaluation time) and depth (compilation recurses
+#: once per level).
+_DAG_SIZE_CAP = 1 << 16
+_DAG_DEPTH_CAP = 200
+
+
+def _check_dag(nodes: tuple) -> None:
+    """Enforce the ceilings (escaping capture when one is exceeded)."""
+    heights: dict[int, int] = {}
+
+    def height(node, depth: int) -> int:
+        got = heights.get(id(node))
+        if got is None:
+            if depth > _DAG_DEPTH_CAP:
+                raise CaptureEscape("value expression too deep")
+            tag = node[0]
+            if tag == "b" or tag == "m":
+                got = 1 + max(height(node[2], depth + 1),
+                              height(node[3], depth + 1))
+            elif tag == "u":
+                got = 1 + height(node[2], depth + 1)
+            else:
+                got = 1
+            heights[id(node)] = got
+            if len(heights) > _DAG_SIZE_CAP:
+                raise CaptureEscape("value expression too large")
+        elif depth + got > _DAG_DEPTH_CAP:
+            raise CaptureEscape("value expression too deep")
+        return got
+
+    for node in nodes:
+        height(node, 0)
+
+
+def _value_spec(values: list):
+    """Encode one pass's per-lane values: a list when all are constant,
+    else a :class:`_LaneValues`."""
+    if any(type(v) is Sym or type(v) is BlockAffine for v in values):
+        nodes = tuple(_node_of(v) for v in values)
+        _check_dag(nodes)
+        return _LaneValues(nodes)
+    return list(values)
+
+
+def _eval_spec(spec, env: list, b: int) -> list:
+    return spec if type(spec) is list else spec(env, b)
+
+
+# --------------------------------------------------------------------- #
+# The symbolic block index
+# --------------------------------------------------------------------- #
+
+#: ``(comparison, outcome) -> (sign, offset)``: with ``d = x - y`` the
+#: outcome holds iff ``sign*d + offset >= 0`` (exact for integers).
+_CMP_AS_NONNEG = {
+    ("<", True): (-1, -1), ("<", False): (1, 0),
+    ("<=", True): (-1, 0), ("<=", False): (1, -1),
+    (">", True): (1, -1), (">", False): (-1, 0),
+    (">=", True): (1, 0), (">=", False): (-1, -1),
+}
+
+
+class BlockGuard:
+    """The blocks a capture's decisions hold for.
+
+    The capture runs at one concrete block ``b0``; every decision taken
+    on the symbolic block index narrows the admitted set to an interval
+    ``lo <= b <= hi`` minus a set of excluded points.  :meth:`pin`
+    collapses it to ``b0`` alone (the block-specific case).
+    """
+
+    __slots__ = ("b0", "lo", "hi", "excluded")
+
+    def __init__(self, b0: int, n_blocks: int) -> None:
+        self.b0 = b0
+        self.lo = 0
+        self.hi = n_blocks - 1
+        self.excluded: set[int] = set()
+
+    def pin(self) -> None:
+        """Admit only the capture block."""
+        self.lo = self.hi = self.b0
+
+    def nonneg(self, coeff: int, base: int) -> None:
+        """Require ``coeff*b + base >= 0`` (true at ``b0``)."""
+        if coeff > 0:
+            self.lo = max(self.lo, -(base // coeff))
+        elif coeff < 0:
+            self.hi = min(self.hi, base // -coeff)
+
+    def compare(self, coeff: int, base: int, op: str,
+                outcome: bool) -> None:
+        """Record that ``(coeff*b + base) <op> 0`` gave ``outcome``."""
+        if not coeff:
+            return
+        form = _CMP_AS_NONNEG.get((op, outcome))
+        if form is not None:
+            sign, offset = form
+            self.nonneg(sign * coeff, sign * base + offset)
+        elif (op == "==") == outcome:
+            self.pin()  # b equals the unique root, b0
+        elif base % coeff == 0:
+            self.excluded.add(-base // coeff)
+
+
+class BlockAffine:
+    """An exact integer ``base + coeff*b`` in the symbolic block index.
+
+    ``+``, ``-``, unary ``-``/``~`` and ``*`` by an int stay affine;
+    comparisons (and truth tests) return the concrete outcome at the
+    capture block and record it on the shared :class:`BlockGuard`.
+    Every other use — ``//``, ``%``, non-int operands, ``int()``,
+    ``range()``, hashing, formatting — returns the concrete value and
+    pins the guard to the capture block.
+    """
+
+    __slots__ = ("base", "coeff", "guard")
+    __array_ufunc__ = None  # numpy scalars defer to our reflected ops
+
+    def __init__(self, base: int, coeff: int, guard: BlockGuard) -> None:
+        self.base = base
+        self.coeff = coeff
+        self.guard = guard
+
+    def concrete(self) -> int:
+        """The value at the capture block (pins the guard if it varies)."""
+        if self.coeff:
+            self.guard.pin()
+        return self.base + self.coeff * self.guard.b0
+
+    def _linear(self, other):
+        t = type(other)
+        if t is BlockAffine:
+            return other.base, other.coeff
+        if t is int:
+            return other, 0
+        return None
+
+    def _concrete_other(self, other):
+        return other.concrete() if type(other) is BlockAffine else other
+
+    def __add__(self, other):
+        lin = self._linear(other)
+        if lin is None:
+            if type(other) is Sym:
+                return NotImplemented
+            return self.concrete() + other
+        return BlockAffine(self.base + lin[0], self.coeff + lin[1],
+                           self.guard)
+
+    def __radd__(self, other):
+        if self._linear(other) is None:
+            if type(other) is Sym:
+                return NotImplemented
+            return other + self.concrete()
+        return self.__add__(other)
+
+    def __sub__(self, other):
+        lin = self._linear(other)
+        if lin is None:
+            if type(other) is Sym:
+                return NotImplemented
+            return self.concrete() - other
+        return BlockAffine(self.base - lin[0], self.coeff - lin[1],
+                           self.guard)
+
+    def __rsub__(self, other):
+        lin = self._linear(other)
+        if lin is None:
+            if type(other) is Sym:
+                return NotImplemented
+            return other - self.concrete()
+        return BlockAffine(lin[0] - self.base, lin[1] - self.coeff,
+                           self.guard)
+
+    def __mul__(self, other):
+        lin = self._linear(other)
+        if lin is None:
+            if type(other) is Sym:
+                return NotImplemented
+            return self.concrete() * other
+        base, coeff = lin
+        if not coeff:
+            return BlockAffine(self.base * base, self.coeff * base,
+                               self.guard)
+        if not self.coeff:
+            return BlockAffine(self.base * base, self.base * coeff,
+                               self.guard)
+        return self.concrete() * self._concrete_other(other)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return BlockAffine(-self.base, -self.coeff, self.guard)
+
+    def __pos__(self):
+        return self
+
+    def __invert__(self):
+        return BlockAffine(-self.base - 1, -self.coeff, self.guard)
+
+    def _compare(self, other, op: str):
+        lin = self._linear(other)
+        if lin is None:
+            if type(other) is Sym:
+                return NotImplemented
+            return _BINFN[op](self.concrete(), other)
+        coeff = self.coeff - lin[1]
+        base = self.base - lin[0]
+        outcome = _BINFN[op](base + coeff * self.guard.b0, 0)
+        self.guard.compare(coeff, base, op, outcome)
+        return outcome
+
+    def __eq__(self, other):
+        return self._compare(other, "==")
+
+    def __ne__(self, other):
+        return self._compare(other, "!=")
+
+    def __lt__(self, other):
+        return self._compare(other, "<")
+
+    def __le__(self, other):
+        return self._compare(other, "<=")
+
+    def __gt__(self, other):
+        return self._compare(other, ">")
+
+    def __ge__(self, other):
+        return self._compare(other, ">=")
+
+    def __bool__(self):
+        return self._compare(0, "!=")
+
+    def __hash__(self):
+        return hash(self.concrete())
+
+    def __index__(self):
+        return self.concrete()
+
+    __int__ = __index__
+
+    def __float__(self):
+        return float(self.concrete())
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.concrete(), name)
+
+
+
+def _make_pinning(fn, reflected: bool):
+    def op(self, *args):
+        if reflected:
+            return fn(args[0], self.concrete())
+        return fn(self.concrete(), *(self._concrete_other(a)
+                                     for a in args))
+    return op
+
+
+for _fname, _fn in {
+        "truediv": operator.truediv, "floordiv": operator.floordiv,
+        "mod": operator.mod, "pow": operator.pow, "and": operator.and_,
+        "or": operator.or_, "xor": operator.xor,
+        "lshift": operator.lshift, "rshift": operator.rshift,
+        "divmod": divmod}.items():
+    setattr(BlockAffine, f"__{_fname}__", _make_pinning(_fn, False))
+    setattr(BlockAffine, f"__r{_fname}__", _make_pinning(_fn, True))
+for _fname, _fn in {"abs": abs, "round": round, "trunc": int,
+                    "floor": int, "ceil": int, "complex": complex,
+                    "str": str, "repr": repr, "format": format}.items():
+    setattr(BlockAffine, f"__{_fname}__", _make_pinning(_fn, False))
 
 
 # --------------------------------------------------------------------- #
@@ -223,66 +668,100 @@ def _collect_bound_names(tree: ast.AST) -> set[str]:
     return bound
 
 
-def _analyze(fn) -> tuple[bool, str]:
+def _annotation_nodes(func: ast.FunctionDef) -> set[int]:
+    """ids of every node inside an annotation.
+
+    Parameter, return, and local-variable annotations are never
+    evaluated while the generator steps, so names they mention (e.g.
+    ``t: KernelThread``) are not behaviour the kernel can observe.
+    """
+    roots = [] if func.returns is None else [func.returns]
+    for node in ast.walk(func):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            roots.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(n) for root in roots for n in ast.walk(root)}
+
+
+def _analyze(fn) -> tuple[bool, str, tuple[str, ...]]:
+    """Static half of the purity proof: (ok, reason, global names)."""
     try:
         source = textwrap.dedent(inspect.getsource(fn))
         tree = ast.parse(source)
     except (OSError, TypeError, SyntaxError, IndentationError):
-        return False, "source unavailable"
+        return False, "source unavailable", ()
     if not tree.body or not isinstance(tree.body[0], ast.FunctionDef):
-        return False, "not a plain function definition"
+        return False, "not a plain function definition", ()
     func = tree.body[0]
     if func.decorator_list:
-        return False, "decorated function"
+        return False, "decorated function", ()
     if not (func.args.posonlyargs + func.args.args):
-        return False, "no context parameter"
+        return False, "no context parameter", ()
     ctx_param = (func.args.posonlyargs + func.args.args)[0].arg
 
     code = fn.__code__
-    allowed_names = (_collect_bound_names(func)
-                     | set(code.co_varnames) | set(code.co_freevars)
-                     | set(code.co_cellvars) | PURE_BUILTINS)
+    local_names = (_collect_bound_names(func) | set(code.co_varnames)
+                   | set(code.co_freevars) | set(code.co_cellvars))
+    skip = _annotation_nodes(func)
+    global_names: set[str] = set()
 
     for node in ast.walk(func):
-        if node is func:
+        if node is func or id(node) in skip:
             continue
         if isinstance(node, ast.Attribute):
             if not (isinstance(node.ctx, ast.Load)
                     and isinstance(node.value, ast.Name)
                     and node.value.id == ctx_param):
                 return False, (f"attribute access outside the context "
-                               f"parameter at line {node.lineno}")
+                               f"parameter at line {node.lineno}"), ()
         elif isinstance(node, ast.Name):
-            if node.id not in allowed_names:
-                return False, f"global name {node.id!r} referenced"
+            if node.id not in local_names:
+                global_names.add(node.id)
         elif isinstance(node, ast.Compare):
             for op in node.ops:
                 if isinstance(op, (ast.Is, ast.IsNot)):
-                    return False, "identity comparison"
+                    return False, "identity comparison", ()
         elif isinstance(node, (_ALLOWED_STMTS + _ALLOWED_EXPRS
                                + _ALLOWED_MISC)):
             continue
         elif not isinstance(node, (ast.Index, ast.ExtSlice)
                             if hasattr(ast, "Index") else ()):
-            return False, f"disallowed construct {type(node).__name__}"
-    return True, ""
+            return False, f"disallowed construct {type(node).__name__}", ()
+    return True, "", tuple(sorted(global_names))
 
 
 def kernel_purity(fn) -> tuple[bool, str]:
     """Prove (conservatively) that ``fn`` is a pure kernel generator.
 
     Pure means: the only names reachable are the context parameter,
-    locally bound names, closure cells, and a whitelist of effect-free
-    builtins; the only attribute accesses (and method calls) are on the
-    context parameter; no imports, try/except, global/nonlocal, nested
-    ``def``, or identity comparisons.  Cached per code object.
+    locally bound names, closure cells, module globals currently bound
+    to deeply immutable values (:func:`immutable_value` — the dispatch
+    keys freeze them, so rebinding one re-keys the kernel), and a
+    whitelist of effect-free builtins; the only attribute accesses (and
+    method calls) are on the context parameter; no imports,
+    try/except, global/nonlocal, nested ``def``, or identity
+    comparisons.  Annotations are ignored: they never run while the
+    generator steps.  The static walk is cached per code object; the
+    global values are re-checked on every call.
     """
     code = fn.__code__
     cached = _purity_cache.get(code)
     if cached is None:
         cached = _analyze(fn)
         _purity_cache[code] = cached
-    return cached
+    ok, reason, global_names = cached
+    if not ok:
+        return False, reason
+    g = fn.__globals__
+    for name in global_names:
+        if name in g:
+            if not immutable_value(g[name]):
+                return False, (f"global name {name!r} bound to a mutable "
+                               f"{type(g[name]).__name__}")
+        elif name not in PURE_BUILTINS:
+            return False, f"global name {name!r} referenced"
+    return True, ""
 
 
 _IMMUTABLE_SCALARS = (bool, int, float, complex, str, bytes, type(None))
@@ -304,10 +783,20 @@ def immutable_value(v, depth: int = 0) -> bool:
 
 
 # --------------------------------------------------------------------- #
-# Plan guards
+# Module-global signatures
 # --------------------------------------------------------------------- #
 
 _global_loads_cache: dict = {}
+_code_digests: dict = {}
+
+
+def code_digest(code) -> bytes:
+    """Stable 16-byte digest of a code object (memoized)."""
+    d = _code_digests.get(code)
+    if d is None:
+        d = hashlib.blake2b(marshal.dumps(code), digest_size=16).digest()
+        _code_digests[code] = d
+    return d
 
 
 def _global_load_names(code) -> frozenset[str]:
@@ -329,12 +818,12 @@ def _global_load_names(code) -> frozenset[str]:
     return names
 
 
-def _freeze_guard_value(v, depth: int = 0, seen=None):
-    """Stable value tree of one global a captured plan may have baked in.
+def _freeze_global_value(v, depth: int = 0, seen=None):
+    """Stable value tree of one global a kernel may observe.
 
     Raises:
         CaptureEscape: the value cannot be compared across launches
-            (exotic/mutable-opaque type) — the plan must not be cached.
+            (exotic/mutable-opaque type) — the launch must not be keyed.
     """
     if depth > 4:
         raise CaptureEscape("global value nesting too deep")
@@ -347,15 +836,15 @@ def _freeze_guard_value(v, depth: int = 0, seen=None):
     if isinstance(v, np.dtype):
         return ("dtype", v.str)
     if isinstance(v, (tuple, list)):
-        return ("seq", tuple(_freeze_guard_value(x, depth + 1, seen)
+        return ("seq", tuple(_freeze_global_value(x, depth + 1, seen)
                              for x in v))
     if isinstance(v, (set, frozenset)):
         return ("set", tuple(sorted(
-            (_freeze_guard_value(x, depth + 1, seen) for x in v),
+            (_freeze_global_value(x, depth + 1, seen) for x in v),
             key=repr)))
     if isinstance(v, dict):
         return ("map", tuple(sorted(
-            ((k, _freeze_guard_value(x, depth + 1, seen))
+            ((k, _freeze_global_value(x, depth + 1, seen))
              for k, x in v.items()), key=repr)))
     if isinstance(v, np.ndarray):
         return ("nd", v.dtype.str, v.shape,
@@ -367,28 +856,27 @@ def _freeze_guard_value(v, depth: int = 0, seen=None):
             return ("fn-cycle",)
         seen.add(id(v))
         try:
-            code_digest = hashlib.blake2b(
-                marshal.dumps(v.__code__), digest_size=16).digest()
             cells = tuple(
-                _freeze_guard_value(c.cell_contents, depth + 1, seen)
+                _freeze_global_value(c.cell_contents, depth + 1, seen)
                 for c in (v.__closure__ or ()))
-            defaults = tuple(_freeze_guard_value(x, depth + 1, seen)
+            defaults = tuple(_freeze_global_value(x, depth + 1, seen)
                              for x in (v.__defaults__ or ()))
         finally:
             seen.discard(id(v))
-        return ("fn", code_digest, cells, defaults)
+        return ("fn", code_digest(v.__code__), cells, defaults)
     raise CaptureEscape(f"unguardable global {type(v).__name__}")
 
 
 def freeze_function_globals(fn) -> tuple:
     """Frozen (name, value) pairs for every module global ``fn`` loads.
 
-    The shape key covers the kernel's code, closure, and defaults, but a
-    kernel admitted under ``force`` mode (no static purity proof) may
-    also read module globals whose *values* get baked into a captured
-    plan as constants.  This signature is captured at lift time and
-    re-frozen before every replay, so a changed global — same shapes,
-    semantically different behavior — falsifies the candidate plan.
+    The kernel signature covers code, closure, and defaults, but a
+    kernel also reads module globals — constants admitted by
+    :func:`kernel_purity`, or anything at all under ``force`` mode —
+    whose *values* decide what it computes and get baked into captured
+    plans.  The dispatcher folds this signature into both the replay
+    key and the shape key, so rebinding a global re-keys the launch:
+    same shapes, semantically different behaviour never replays.
 
     Raises:
         CaptureEscape: a referenced global cannot be frozen.
@@ -397,63 +885,8 @@ def freeze_function_globals(fn) -> tuple:
     pairs = []
     for name in sorted(_global_load_names(fn.__code__)):
         if name in g:
-            pairs.append((name, _freeze_guard_value(g[name])))
+            pairs.append((name, _freeze_global_value(g[name])))
     return tuple(pairs)
-
-
-class PlanGuard:
-    """Lift-time predicate validating a candidate plan against inputs.
-
-    Captured together with the plan (and persisted beside it in the
-    on-disk store); :meth:`validate` must pass before any shape-keyed
-    replay.  It re-checks the two channels the structural digest cannot
-    watch by itself:
-
-    * the **array set** — names, element counts, dtypes — the capture
-      assumed (every recorded index was bounds-checked against these);
-    * the kernel's **module globals** (see
-      :func:`freeze_function_globals`) — same shape, semantically
-      different control flow must not replay.
-    """
-
-    __slots__ = ("globals_sig", "arrays")
-
-    def __init__(self, globals_sig: tuple, arrays: tuple) -> None:
-        self.globals_sig = globals_sig
-        self.arrays = arrays
-
-    def __getstate__(self):
-        return (self.globals_sig, self.arrays)
-
-    def __setstate__(self, state):
-        self.globals_sig, self.arrays = state
-
-    def validate(self, fn, memory) -> bool:
-        """True when the plan is sound for ``fn`` over ``memory`` now."""
-        if len(memory) != len(self.arrays):
-            return False
-        for name, size, dt in self.arrays:
-            arr = memory.get(name)
-            if not isinstance(arr, np.ndarray) or arr.size != size \
-                    or arr.dtype.str != dt:
-                return False
-        try:
-            return freeze_function_globals(fn) == self.globals_sig
-        except CaptureEscape:
-            return False
-
-
-def build_plan_guard(fn, memory) -> PlanGuard:
-    """Capture a :class:`PlanGuard` for ``fn`` over ``memory``.
-
-    Raises:
-        CaptureEscape: when a referenced global defies freezing — the
-            plan would not be falsifiable, so it must not be cached.
-    """
-    arrays = tuple(sorted(
-        (name, int(arr.size), arr.dtype.str)
-        for name, arr in memory.items()))
-    return PlanGuard(freeze_function_globals(fn), arrays)
 
 
 # --------------------------------------------------------------------- #
@@ -461,7 +894,12 @@ def build_plan_guard(fn, memory) -> PlanGuard:
 # --------------------------------------------------------------------- #
 
 class BlockPlan:
-    """One block's precompiled pass schedule.
+    """One captured pass schedule, valid for every block its guard admits.
+
+    Effects address memory as ``idx_base + idx_coeff*b`` (``idx_coeff``
+    is ``None`` when no lane's index depends on the block, an int when
+    every lane shares it, else a per-lane array), and value expressions
+    may reference ``b`` too, so one variant replays any admitted block.
 
     Attributes:
         cycles: The block's modeled runtime (static for steady kernels).
@@ -469,66 +907,72 @@ class BlockPlan:
         n_slots: Value-slot count for the effect environment.
         effects: Ordered memory effects (tuples; see the executor).
         stats: Nonzero ``LaunchStats`` field deltas as (name, delta).
+        lo, hi, excluded: The guard — blocks ``lo <= b <= hi`` not in
+            ``excluded``.
     """
 
-    __slots__ = ("cycles", "steps", "n_slots", "effects", "stats", "fp")
+    _STATE = ("cycles", "steps", "n_slots", "effects", "stats", "lo",
+              "hi", "excluded")
+    __slots__ = _STATE + ("fps",)
 
     def __init__(self, cycles: float, steps: int, n_slots: int,
-                 effects: list, stats: tuple) -> None:
-        self.cycles = cycles
-        self.steps = steps
-        self.n_slots = n_slots
-        self.effects = effects
-        self.stats = stats
-        self.fp = None
+                 effects: list, stats: tuple, lo: int, hi: int,
+                 excluded: frozenset) -> None:
+        self.__setstate__((cycles, steps, n_slots, effects, stats, lo, hi,
+                           excluded))
 
     def __getstate__(self):
-        return (self.cycles, self.steps, self.n_slots, self.effects,
-                self.stats)
+        return tuple(getattr(self, name) for name in self._STATE)
 
-    def __setstate__(self, state):
-        (self.cycles, self.steps, self.n_slots, self.effects,
-         self.stats) = state
-        self.fp = None
+    def __setstate__(self, state) -> None:
+        for name, value in zip(self._STATE, state):
+            setattr(self, name, value)
+        self.fps = {}  # block -> footprint memo (not pickled)
 
-    def footprint(self):
-        """The plan's global-memory footprint (memoized).
+    def covers(self, b: int) -> bool:
+        """True when this variant's guard admits block ``b``."""
+        return self.lo <= b <= self.hi and b not in self.excluded
 
-        Effect index lists are static, so the
+    def footprint(self, b: int):
+        """Block ``b``'s global-memory footprint under this plan.
+
+        Effect indices are static per block, so the
         :class:`~repro.cuda.race.BlockFootprint` the fast tier would
-        record per block is derivable without executing anything — that
-        is what lets the pool verify chunk disjointness *before*
-        dispatching plans to workers.  Atomics count as writes (their
-        returned old value makes overlap order-visible), matching
-        :meth:`BlockFootprint.record_pass`.
+        record is derivable without executing anything — that is what
+        lets the pool verify chunk disjointness *before* dispatching
+        plans to workers.  Atomics count as writes (their returned old
+        value makes overlap order-visible), matching
+        :meth:`BlockFootprint.record_pass`.  Memoized per block: a
+        variant's effects never change once captured.
         """
-        fp = self.fp
-        if fp is None:
-            from repro.cuda.race import BlockFootprint
-            fp = BlockFootprint()
-            for eff in self.effects:
-                tag = eff[0]
-                if tag == "r":
-                    _, in_shared, var, idx_np, _ = eff
-                    if not in_shared:
-                        fp.reads.setdefault(var, set()).update(
-                            idx_np.tolist())
-                elif tag == "w":
-                    if not eff[1]:
-                        fp.writes.setdefault(eff[2], set()).update(eff[4])
-                else:  # "a"
-                    if not eff[2]:
-                        fp.writes.setdefault(eff[3], set()).update(eff[5])
-            self.fp = fp
+        fp = self.fps.get(b)
+        if fp is not None:
+            return fp
+        from repro.cuda.race import BlockFootprint
+        fp = BlockFootprint()
+        for eff in self.effects:
+            if eff[0] == "r":
+                _, in_shared, var, base, coeff, _ = eff
+                target = fp.reads
+            elif eff[0] == "w":
+                in_shared, var, base, coeff = eff[1:5]
+                target = fp.writes
+            else:  # "a"
+                in_shared, var, base, coeff = eff[2:6]
+                target = fp.writes
+            if not in_shared:
+                idx = base if coeff is None else base + coeff * b
+                target.setdefault(var, set()).update(idx.tolist())
+        self.fps[b] = fp
         return fp
 
     def execute(self, memory: dict[str, np.ndarray],
                 shared_decls: dict[str, tuple[int, np.dtype]],
-                stats) -> float:
-        """Replay the recorded effects against live memory.
+                stats, b: int) -> float:
+        """Replay the recorded effects for block ``b`` against memory.
 
-        Mirrors the fast tier's numpy operation sequence exactly, so the
-        resulting bytes match a generator-stepped execution.
+        Mirrors the stepped tiers' numpy operation sequence exactly, so
+        the resulting bytes match a generator-stepped execution.
         """
         shared = {name: np.zeros(size, dtype=dt)
                   for name, (size, dt) in shared_decls.items()}
@@ -548,37 +992,41 @@ class BlockPlan:
         for eff in self.effects:
             tag = eff[0]
             if tag == "r":  # read (global or shared)
-                _, in_shared, var, idx_np, slot = eff
-                env[slot] = flat_of(in_shared, var).take(idx_np).tolist()
+                _, in_shared, var, base, coeff, slot = eff
+                idx = base if coeff is None else base + coeff * b
+                env[slot] = flat_of(in_shared, var).take(idx).tolist()
             elif tag == "w":  # write (global or shared)
-                _, in_shared, var, idx_np, idx_list, vspec, distinct = eff
+                _, in_shared, var, base, coeff, vspec, distinct = eff
+                idx = base if coeff is None else base + coeff * b
                 flat = flat_of(in_shared, var)
-                values = _eval_spec(vspec, env)
+                values = _eval_spec(vspec, env, b)
                 if distinct:
-                    np.put(flat, idx_np, values)
+                    np.put(flat, idx, values)
                 else:
-                    # Duplicate targets: lane order decides the survivor.
-                    for i, v in zip(idx_list, values):
+                    # Duplicate targets (or a mixed pass's scalar
+                    # stores): lane order decides the survivor.
+                    for i, v in zip(idx.tolist(), values):
                         flat[i] = v
             else:  # "a": atomic
-                self._execute_atomic(eff, env, flat_of)
+                self._execute_atomic(eff, env, flat_of, b)
         for name, delta in self.stats:
             setattr(stats, name, getattr(stats, name) + delta)
         return self.cycles
 
     @staticmethod
-    def _execute_atomic(eff, env, flat_of) -> None:
-        (_, token, in_shared, var, idx_np, idx_list, slot, vspec,
-         cspec, mode) = eff
+    def _execute_atomic(eff, env, flat_of, b: int) -> None:
+        (_, token, in_shared, var, base, coeff, slot, vspec, cspec,
+         mode) = eff
         flat = flat_of(in_shared, var)
-        values = _eval_spec(vspec, env)
+        idx_np = base if coeff is None else base + coeff * b
+        values = _eval_spec(vspec, env, b)
         if mode == "d":
             # All-distinct targets: gather, vectorized update, scatter.
             old_arr = flat[idx_np]
             olds = old_arr.tolist()
             if token == "cas":
                 varr = np.asarray(values)
-                carr = np.asarray(_eval_spec(cspec, env))
+                carr = np.asarray(_eval_spec(cspec, env, b))
                 new = np.where(old_arr == carr, varr, old_arr)
             elif token == "exch":
                 new = np.asarray(values)
@@ -605,7 +1053,9 @@ class BlockPlan:
                                    varr, old_arr - 1)
             flat[idx_np] = new
             env[slot] = olds
-        elif mode == "i":
+            return
+        idx_list = idx_np.tolist()
+        if mode == "i":
             # Colliding integer add/sub: one load/store per address.
             running: dict[int, int] = {}
             get = running.get
@@ -628,10 +1078,11 @@ class BlockPlan:
                 flat[i] = value
             env[slot] = olds
         else:
-            # Colliding targets: lane order is the serialization order.
+            # Colliding targets (or a mixed pass): lane order is the
+            # serialization order.
             olds = []
             if token == "cas":
-                compares = _eval_spec(cspec, env)
+                compares = _eval_spec(cspec, env, b)
                 for i, v, c in zip(idx_list, values, compares):
                     old = flat[i].item()
                     olds.append(old)
@@ -665,26 +1116,22 @@ class BlockPlan:
 
 
 # --------------------------------------------------------------------- #
-# Symbolic capture of one block
+# Block-generic symbolic capture
 # --------------------------------------------------------------------- #
 
 #: Per-block effect ceiling: plans beyond this are not worth the memory.
 EFFECT_CAP = 150_000
 
 
-def _concrete_index(idx) -> int:
-    if type(idx) is Sym:
-        raise CaptureEscape("data-dependent memory index")
-    if not isinstance(idx, (int, np.integer)):
-        raise CaptureEscape(f"non-integer index {type(idx).__name__}")
-    return int(idx)
+def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
+                          mem_info: dict[str, tuple[int, np.dtype]],
+                          shared_decls: dict[str, tuple[int, np.dtype]],
+                          step_cap: int) -> BlockPlan:
+    """Dry-run block ``block_idx`` with symbolic values and a symbolic
+    block index, and record the plan variant it proves.
 
-
-def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
-                       mem_info: dict[str, tuple[int, np.dtype]],
-                       shared_decls: dict[str, tuple[int, np.dtype]],
-                       step_cap: int) -> BlockPlan:
-    """Dry-run one block with symbolic values and record its plan.
+    The returned plan's guard admits ``block_idx`` and every other block
+    for which all decisions taken on the block index come out the same.
 
     Raises:
         CaptureEscape: when the kernel is not steady (control flow,
@@ -692,12 +1139,13 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
             of bounds, or exceeds ``step_cap``/:data:`EFFECT_CAP` — the
             caller falls back to the ordinary fast tier.
     """
-    from repro.common.datatypes import DTYPES, INT
+    from repro.common.datatypes import DOUBLE, DTYPES, INT
     from repro.compiler.ops import Op, PrimitiveKind, Scope
     from repro.cuda import requests as rq
     from repro.cuda.interpreter import (
         _ATOMIC_KIND_OF, _BARRIER_KIND_OF, _COLLECTIVE_KIND_OF,
-        _FENCE_KIND_OF, KernelThread, LaunchStats, _Lane, _LaneState)
+        _FENCE_KIND_OF, Cuda, KernelThread, LaunchStats, _Lane,
+        _LaneState)
     from repro.gpu.spec import WARP_SIZE
     from repro.mem.layout import SharedScalar
 
@@ -707,6 +1155,8 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
         rq.AtomicXor: "xor", rq.AtomicInc: "inc", rq.AtomicDec: "dec",
         rq.AtomicCas: "cas", rq.AtomicExch: "exch",
     }
+    _READS = {rq.GlobalRead: False, rq.SharedRead: True}
+    _WRITES = {rq.GlobalWrite: False, rq.SharedWrite: True}
 
     device = cuda.device
     params = device.params
@@ -714,6 +1164,9 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
     global_load_cycles = params.global_load_cycles
     uncoalesced = params.uncoalesced_penalty_cycles
 
+    guard = BlockGuard(block_idx, launch.grid_blocks)
+    b0 = block_idx
+    symbolic_kernel = _symbolic_clone(kernel)
     shared_info = {name: (size, np.dtype(dt))
                    for name, (size, dt) in shared_decls.items()}
     stats = LaunchStats()
@@ -722,12 +1175,13 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
     steps_total = 0
 
     n = launch.block_threads
+    block_sym = BlockAffine(0, 1, guard)
     warps: list[list] = []
     for wstart in range(0, n, WARP_SIZE):
         lanes = []
         for t in range(wstart, min(wstart + WARP_SIZE, n)):
-            kt = KernelThread(t, block_idx, n, launch.grid_blocks)
-            lanes.append(_Lane(gen=kernel(kt), lane_id=t - wstart))
+            kt = KernelThread(t, block_sym, n, launch.grid_blocks)
+            lanes.append(_Lane(gen=symbolic_kernel(kt), lane_id=t - wstart))
         warps.append(lanes)
     warp_clocks = [0.0] * len(warps)
     issuing_warps: dict[tuple, set[int]] = {}
@@ -738,6 +1192,7 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
     RUNNING = _LaneState.RUNNING
     DONE = _LaneState.DONE
     BARRIER = _LaneState.BARRIER
+    COLLECTIVE = _LaneState.COLLECTIVE
 
     total_lanes = sum(len(lanes) for lanes in warps)
     done_lanes = 0
@@ -746,11 +1201,14 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
     op_cost_cache: dict = {}
     atomic_cost_cache: dict = {}
 
-    def op_cost(kind) -> float:
-        c = op_cost_cache.get(kind)
+    def op_cost(kind, dtype=None) -> float:
+        key = (kind, dtype)
+        c = op_cost_cache.get(key)
         if c is None:
-            c = device.op_cost(Op(kind=kind), ctx)
-            op_cost_cache[kind] = c
+            op = Op(kind=kind) if dtype is None \
+                else Op(kind=kind, dtype=dtype)
+            c = device.op_cost(op, ctx)
+            op_cost_cache[key] = c
         return c
 
     def atomic_cost(kind, np_dtype, scope, n_addresses, n_lanes,
@@ -777,72 +1235,127 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
         n_slots += 1
         return slot
 
-    def bind_results(glanes, slot: int) -> None:
+    def bind_results(glanes, slot: int, np_dtype) -> None:
+        kind = "f" if np_dtype.kind == "f" else \
+            "i" if np_dtype.kind in "iub" else None
         for pos, lane in enumerate(glanes):
-            lane.pending = Sym(("s", slot, pos))
+            lane.pending = Sym(("s", slot, pos), kind)
 
-    def var_and_indices(reqs, info):
-        var = reqs[0].var
+    def declared(var, info):
         if type(var) is Sym or not isinstance(var, str):
             raise CaptureEscape("data-dependent variable name")
         entry = info.get(var)
         if entry is None:
             raise CaptureEscape(f"undeclared variable {var!r}")
-        size, dtype = entry
-        idx = []
+        return entry
+
+    def affine_indices(reqs, size: int):
+        """Per-lane ``(base, coeff)`` index pairs, guarded in bounds."""
+        bases, coeffs = [], []
+        for r in reqs:
+            idx = r.idx
+            t = type(idx)
+            if t is BlockAffine:
+                base, coeff = idx.base, idx.coeff
+            elif t is Sym:
+                raise CaptureEscape("data-dependent memory index")
+            elif isinstance(idx, (int, np.integer)):
+                base, coeff = int(idx), 0
+            else:
+                raise CaptureEscape(f"non-integer index {t.__name__}")
+            if not 0 <= base + coeff * b0 < size:
+                raise CaptureEscape("out-of-bounds access")
+            guard.nonneg(coeff, base)
+            guard.nonneg(-coeff, size - 1 - base)
+            bases.append(base)
+            coeffs.append(coeff)
+        return bases, coeffs
+
+    def encode(bases, coeffs):
+        c0 = coeffs[0]
+        if all(c == c0 for c in coeffs):
+            coeff = c0 or None
+        else:
+            coeff = np.array(coeffs, dtype=np.intp)
+        return np.array(bases, dtype=np.intp), coeff
+
+    def lane_invariant(coeffs, itemsize: int = 0) -> None:
+        """Pin unless a count over these indices is the same in every
+        admitted block: a shared coefficient keeps address collisions
+        fixed, and one moving whole 32-byte sectors keeps the coalescing
+        count fixed too (``itemsize`` > 0)."""
+        c0 = coeffs[0]
+        if any(c != c0 for c in coeffs) or (c0 * itemsize) % 32:
+            guard.pin()
+
+    def at_b0(bases, coeffs) -> list[int]:
+        return [base + c * b0 for base, c in zip(bases, coeffs)]
+
+    def sector_count(entries) -> int:
+        """Distinct (var, sector) pairs over ``(var, base, coeff,
+        itemsize)`` entries — the reference coalescing rule."""
+        by_var: dict[str, list] = {}
+        for var, _, coeff, itemsize in entries:
+            by_var.setdefault(var, [itemsize]).append(coeff)
+        for itemsize, *coeffs in by_var.values():
+            lane_invariant(coeffs, itemsize)
+        return len({(var, (base + coeff * b0) * itemsize // 32)
+                    for var, base, coeff, itemsize in entries})
+
+    # ------------------------- uniform passes ------------------------- #
+    # Mirror the fast tier's batched handlers; return None where the
+    # fast tier would fall back to the reference pass semantics.
+
+    def u_read(glanes, reqs, in_shared: bool):
+        var = reqs[0].var
+        size, dtype = declared(var, shared_info if in_shared else mem_info)
         for r in reqs:
             if r.var != var:
-                raise CaptureEscape("mixed-variable memory pass")
-            i = _concrete_index(r.idx)
-            if not 0 <= i < size:
-                raise CaptureEscape("out-of-bounds access")
-            idx.append(i)
-        return var, dtype, idx
+                return None
+        bases, coeffs = affine_indices(reqs, size)
+        slot = new_slot()
+        effects.append(("r", in_shared, var, *encode(bases, coeffs), slot))
+        bind_results(glanes, slot, dtype)
+        if in_shared:
+            stats.shared_accesses += len(bases)
+            return alu_cycles
+        stats.global_accesses += len(bases)
+        return sector_cost(var, bases, coeffs, dtype.itemsize)
 
-    def sector_cost(idx, itemsize) -> float:
-        sectors = {i * itemsize // 32 for i in idx}
+    def u_write(reqs, in_shared: bool):
+        var = reqs[0].var
+        size, dtype = declared(var, shared_info if in_shared else mem_info)
+        for r in reqs:
+            if r.var != var:
+                return None
+        bases, coeffs = affine_indices(reqs, size)
+        lane_invariant(coeffs)
+        idx = at_b0(bases, coeffs)
+        effects.append(("w", in_shared, var, *encode(bases, coeffs),
+                        _value_spec([r.value for r in reqs]),
+                        len(set(idx)) == len(idx)))
+        if in_shared:
+            stats.shared_accesses += len(idx)
+            return alu_cycles
+        stats.global_accesses += len(idx)
+        return sector_cost(var, bases, coeffs, dtype.itemsize)
+
+    def sector_cost(var, bases, coeffs, itemsize) -> float:
+        n_sectors = sector_count([(var, base, c, itemsize)
+                                  for base, c in zip(bases, coeffs)])
         cost = global_load_cycles
-        if len(sectors) > 1:
-            cost += uncoalesced * (len(sectors) - 1)
+        if n_sectors > 1:
+            cost += uncoalesced * (n_sectors - 1)
         return cost
 
-    def handle_pass(warp_id, lanes, glanes, reqs) -> float:
-        """Record one uniform pass; returns its cost."""
+    def uniform_pass(warp_id, lanes, glanes, reqs, cls):
         nonlocal barrier_waiting
-        cls = reqs[0].__class__
-        for r in reqs:
-            if r.__class__ is not cls:
-                raise CaptureEscape("divergent (mixed-class) pass")
-
         if cls is rq.Alu:
             return alu_cycles * max([r.n for r in reqs])
-        if cls is rq.GlobalRead or cls is rq.SharedRead:
-            in_shared = cls is rq.SharedRead
-            info = shared_info if in_shared else mem_info
-            var, dtype, idx = var_and_indices(reqs, info)
-            slot = new_slot()
-            effects.append(("r", in_shared, var,
-                            np.array(idx, dtype=np.intp), slot))
-            bind_results(glanes, slot)
-            if in_shared:
-                stats.shared_accesses += len(idx)
-                return alu_cycles
-            stats.global_accesses += len(idx)
-            return sector_cost(idx, dtype.itemsize)
-        if cls is rq.GlobalWrite or cls is rq.SharedWrite:
-            in_shared = cls is rq.SharedWrite
-            info = shared_info if in_shared else mem_info
-            var, dtype, idx = var_and_indices(reqs, info)
-            distinct = len(set(idx)) == len(idx)
-            effects.append(("w", in_shared, var,
-                            np.array(idx, dtype=np.intp), idx,
-                            _value_spec([r.value for r in reqs]),
-                            distinct))
-            if in_shared:
-                stats.shared_accesses += len(idx)
-                return alu_cycles
-            stats.global_accesses += len(idx)
-            return sector_cost(idx, dtype.itemsize)
+        if cls in _READS:
+            return u_read(glanes, reqs, _READS[cls])
+        if cls in _WRITES:
+            return u_write(reqs, _WRITES[cls])
         if cls is rq.Syncwarp:
             stats.syncwarps += len(reqs)
             return op_cost(PrimitiveKind.SYNCWARP)
@@ -855,38 +1368,48 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
                     cost = c
             return cost
         if cls is rq.Activemask:
-            mask = 0
-            for other in lanes:
-                if other.state is not DONE:
-                    mask |= 1 << other.lane_id
+            mask = active_mask(lanes)
             for lane in glanes:
                 lane.pending = mask
             return alu_cycles
-        if cls is rq.Syncthreads:
+        if cls in _BARRIER_KIND_OF:
             for lane, r in zip(glanes, reqs):
                 lane.state = BARRIER
                 lane.barrier_request = r
             barrier_waiting = True
             return 0.0
-        if cls in _BARRIER_KIND_OF or cls in _COLLECTIVE_KIND_OF:
-            raise CaptureEscape(
-                f"unsupported primitive {cls.__name__} in steady capture")
+        if cls in _COLLECTIVE_KIND_OF:
+            for lane, r in zip(glanes, reqs):
+                lane.state = COLLECTIVE
+                lane.collective = r
+            return 0.0
         if cls in _ATOMIC_TOKEN:
-            return handle_atomic(warp_id, glanes, reqs, cls)
-        raise CaptureEscape(f"unknown request class {cls.__name__}")
+            first = reqs[0]
+            var, scope = first.var, first.scope
+            for r in reqs:
+                if r.var != var or r.scope is not scope:
+                    return None
+            return record_atomic(warp_id, glanes, reqs, cls, var, scope,
+                                 serial=False)
+        return None
 
-    def handle_atomic(warp_id, glanes, reqs, cls) -> float:
-        first = reqs[0]
-        scope = first.scope
-        for r in reqs:
-            if r.scope is not scope:
-                raise CaptureEscape("mixed-scope atomic pass")
-        var = first.var
-        if type(var) is Sym or not isinstance(var, str):
-            raise CaptureEscape("data-dependent variable name")
+    def active_mask(lanes) -> int:
+        mask = 0
+        for other in lanes:
+            if other.state is not DONE:
+                mask |= 1 << other.lane_id
+        return mask
+
+    def record_atomic(warp_id, glanes, reqs, cls, var, scope,
+                      serial: bool) -> float:
+        """One atomic group, in lane order.  ``serial`` (a mixed pass)
+        replays the reference's scalar loop; otherwise the fast tier's
+        serialization mode for the observed collision pattern."""
         in_shared = var in shared_info
-        info = shared_info if in_shared else mem_info
-        var, dtype, idx = var_and_indices(reqs, info)
+        size, dtype = declared(var, shared_info if in_shared else mem_info)
+        bases, coeffs = affine_indices(reqs, size)
+        lane_invariant(coeffs)
+        idx = at_b0(bases, coeffs)
         n_lanes = len(idx)
         effective_scope = Scope.BLOCK if in_shared else scope
         if effective_scope is Scope.BLOCK:
@@ -895,7 +1418,9 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
             stats.global_atomics += n_lanes
         n_addresses = len(set(idx))
         token = _ATOMIC_TOKEN[cls]
-        if n_addresses == n_lanes:
+        if serial:
+            mode = "s"
+        elif n_addresses == n_lanes:
             mode = "d"
         elif token in ("add", "sub") and dtype.kind in "iu":
             mode = "i"
@@ -906,14 +1431,144 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
             if cls is rq.AtomicCas else None
         slot = new_slot()
         effects.append(("a", token, in_shared, var,
-                        np.array(idx, dtype=np.intp), idx, slot, vspec,
-                        cspec, mode))
-        bind_results(glanes, slot)
+                        *encode(bases, coeffs), slot, vspec, cspec, mode))
+        bind_results(glanes, slot, dtype)
         kind = _ATOMIC_KIND_OF[cls]
         seen = issuing_warps.setdefault((kind, var), set())
         seen.add(warp_id)
         return atomic_cost(kind, dtype, effective_scope, n_addresses,
                            n_lanes, len(seen))
+
+    # -------------------------- mixed passes -------------------------- #
+
+    def mixed_simple(lane, r, sector_entries) -> float:
+        """One lane's non-atomic request, as ``Cuda._execute_simple``."""
+        cls = r.__class__
+        if cls is rq.Alu:
+            return alu_cycles * r.n
+        if cls is rq.Syncwarp:
+            stats.syncwarps += 1
+            return op_cost(PrimitiveKind.SYNCWARP)
+        if cls is rq.Threadfence:
+            stats.fences += 1
+            return op_cost(_FENCE_KIND_OF[r.scope])
+        is_read = cls in _READS
+        if not is_read and cls not in _WRITES:
+            raise CaptureEscape(f"unsupported request {cls.__name__} in "
+                                f"steady capture")
+        in_shared = _READS[cls] if is_read else _WRITES[cls]
+        var = r.var
+        size, dtype = declared(var, shared_info if in_shared else mem_info)
+        bases, coeffs = affine_indices([r], size)
+        if not in_shared:
+            sector_entries.setdefault(cls, []).append(
+                (var, bases[0], coeffs[0], dtype.itemsize))
+        if is_read:
+            slot = new_slot()
+            effects.append(("r", in_shared, var, *encode(bases, coeffs),
+                            slot))
+            bind_results([lane], slot, dtype)
+        else:
+            effects.append(("w", in_shared, var, *encode(bases, coeffs),
+                            _value_spec([r.value]), False))
+        if in_shared:
+            stats.shared_accesses += 1
+            return alu_cycles
+        stats.global_accesses += 1
+        return global_load_cycles
+
+    def mixed_pass(warp_id, lanes, glanes, reqs) -> float:
+        """Mirror of ``Cuda._process_gathered`` (the reference pass)."""
+        nonlocal barrier_waiting
+        group_costs: dict = {}
+        atomic_groups: dict = {}
+        sector_entries: dict = {}
+        for lane, r in zip(glanes, reqs):
+            if isinstance(r, rq.Syncthreads):
+                lane.state = BARRIER
+                lane.barrier_request = r
+                barrier_waiting = True
+            elif isinstance(r, rq.Activemask):
+                lane.pending = active_mask(lanes)
+                group_costs[rq.Activemask] = max(
+                    group_costs.get(rq.Activemask, 0.0), alu_cycles)
+            elif isinstance(r, rq.WarpCollective):
+                lane.state = COLLECTIVE
+                lane.collective = r
+            elif isinstance(r, rq.AtomicRmw):
+                atomic_groups.setdefault((type(r), r.var, r.scope),
+                                         []).append((lane, r))
+            else:
+                key = type(r)
+                group_costs[key] = max(group_costs.get(key, 0.0),
+                                       mixed_simple(lane, r,
+                                                    sector_entries))
+        for req_type, entries in sector_entries.items():
+            n_sectors = sector_count(entries)
+            if n_sectors > 1:
+                group_costs[req_type] += uncoalesced * (n_sectors - 1)
+        for (req_type, var, scope), group in atomic_groups.items():
+            group_costs[(req_type, var, scope)] = record_atomic(
+                warp_id, [lane for lane, _ in group],
+                [r for _, r in group], req_type, var, scope, serial=True)
+        cost = sum(group_costs.values())
+        if len(group_costs) > 1:
+            stats.divergent_passes += 1
+            cost += params.divergence_cycles * (len(group_costs) - 1)
+        return cost
+
+    # --------------------------- collectives -------------------------- #
+
+    def maybe_collective(lanes):
+        """Mirror of ``Cuda._maybe_run_collective``; returns the cost or
+        None when no collective is ready."""
+        participants = []
+        still_running = False
+        blocked_elsewhere = False
+        for lane in lanes:
+            state = lane.state
+            if state is COLLECTIVE:
+                participants.append(lane)
+            elif state is RUNNING:
+                still_running = True
+            else:
+                blocked_elsewhere = True
+        if not participants or still_running:
+            return None
+        if blocked_elsewhere:
+            raise CaptureEscape("divergent warp collective")
+        first = participants[0].collective
+        cls = first.__class__
+        for lane in participants:
+            if lane.collective.__class__ is not cls:
+                raise CaptureEscape("mixed warp collectives")
+        stats.collectives += len(participants)
+        if cls is rq.ReduceMaxSync and any(
+                type(lane.collective.value) is Sym
+                for lane in participants):
+            result = first.value
+            for lane in participants[1:]:
+                result = _fold_minmax("max", result, lane.collective.value)
+            for lane in participants:
+                lane.pending = result
+        else:
+            Cuda._apply_collective(participants)
+        value = getattr(first, "value", 0)
+        if type(value) is Sym:
+            if value.kind is None:
+                raise CaptureEscape(
+                    "collective over a value of unknown Python type")
+            is_float = value.kind == "f"
+        else:
+            is_float = isinstance(value, float)
+        cost = op_cost(_COLLECTIVE_KIND_OF[cls],
+                       DOUBLE if is_float else INT)
+        for lane in participants:
+            lane.state = RUNNING
+            lane.collective = None
+        return cost
+
+    # ---------------------------- pass loop --------------------------- #
 
     while done_lanes < total_lanes:
         progressed = False
@@ -939,11 +1594,23 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
                 if steps_total > step_cap:
                     raise CaptureEscape("step budget reached in capture")
                 progressed = True
-            if not reqs:
-                continue
             if len(effects) > EFFECT_CAP:
                 raise CaptureEscape("plan too large")
-            cost = handle_pass(warp_id, lanes, glanes, reqs)
+            if reqs:
+                cls = reqs[0].__class__
+                cost = None
+                if all(r.__class__ is cls for r in reqs):
+                    cost = uniform_pass(warp_id, lanes, glanes, reqs, cls)
+                if cost is None:
+                    cost = mixed_pass(warp_id, lanes, glanes, reqs)
+                collective = maybe_collective(lanes)
+                if collective is not None:
+                    cost += collective
+            else:
+                cost = maybe_collective(lanes)
+                if cost is None:
+                    continue
+                progressed = True
             if cost > 0:
                 warp_clocks[warp_id] += cost
         if barrier_waiting:
@@ -962,14 +1629,19 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
             if waiting and len(waiting) == n_live:
                 if n_live < n_total:
                     raise CaptureEscape("barrier with returned threads")
+                variant = waiting[0].barrier_request.__class__
+                for lane in waiting:
+                    if lane.barrier_request.__class__ is not variant:
+                        raise CaptureEscape("mixed barrier variants")
                 stats.syncthreads += 1
-                cost = op_cost(_BARRIER_KIND_OF[rq.Syncthreads])
-                sync_time = max(warp_clocks) + cost
+                sync_time = max(warp_clocks) \
+                    + op_cost(_BARRIER_KIND_OF[variant])
                 for w in range(len(warp_clocks)):
                     warp_clocks[w] = sync_time
+                result = Cuda._barrier_value(variant, waiting)
                 for lane in waiting:
                     lane.state = RUNNING
-                    lane.pending = None
+                    lane.pending = result
                     lane.barrier_request = None
                 barrier_waiting = False
                 progressed = True
@@ -985,12 +1657,23 @@ def capture_block_plan(cuda, kernel, launch, ctx, block_idx: int,
         n_slots=n_slots,
         effects=effects,
         stats=stat_deltas,
+        lo=guard.lo,
+        hi=guard.hi,
+        excluded=frozenset(guard.excluded),
     )
 
 
 # --------------------------------------------------------------------- #
 # Compiled OpenMP region plans
 # --------------------------------------------------------------------- #
+
+def _concrete_index(idx) -> int:
+    if type(idx) is Sym:
+        raise CaptureEscape("data-dependent memory index")
+    if not isinstance(idx, (int, np.integer)):
+        raise CaptureEscape(f"non-integer index {type(idx).__name__}")
+    return int(idx)
+
 
 #: Values a captured OpenMP effect may materialize as a constant.
 _PLAN_SCALARS = (bool, int, float, np.integer, np.floating, np.bool_)

@@ -1,19 +1,18 @@
 """Persistent on-disk plan cache for the dispatcher's lifted tier.
 
-Lifted plans (:class:`~repro.compiler.lift.BlockPlan` lists for CUDA,
-:class:`~repro.compiler.lift.RegionPlan` for OpenMP) are pure data:
-effect lists over slot environments plus their guard predicate.  They
-survive pickling, so a plan captured once can warm every later process
-— cold measurement-service workers in particular — as long as nothing
-the plan depends on changed.
+Lifted plans (:class:`~repro.compiler.lift.BlockPlan` variant lists for
+CUDA, :class:`~repro.compiler.lift.RegionPlan` for OpenMP) are pure
+data: effect lists over slot environments, each CUDA variant carrying
+its block-index guard.  They survive pickling, so a plan captured once
+can warm every later process — cold measurement-service workers in
+particular — as long as nothing the plan depends on changed.
 
-Three things key an entry, all already folded into the shape digest by
-the dispatcher: the machine fingerprint (cost parameters), the
-structural launch/region signature (kernel code + closure, launch
-config, array dtypes/shapes), and :data:`DISPATCH_VERSION` (bumped
-whenever plan or effect encoding changes).  The guard predicate rides
-along inside the entry and is *re-validated* on every load, so global
-state the kernel reads is checked against the current process too.
+Everything a plan depends on is folded into the shape digest by the
+dispatcher — the machine fingerprint (cost parameters), the structural
+launch/region signature (kernel code + closure, launch config, array
+dtypes/shapes), and the frozen module globals the kernel reads — and
+:data:`DISPATCH_VERSION` (bumped whenever plan or effect encoding
+changes) is checked on load.
 
 Entries are written atomically (temp file + fsync + ``os.replace``) and
 framed with a magic string plus a SHA-256 payload checksum, the same
@@ -31,9 +30,9 @@ import time
 
 from repro.obs.metrics import counter
 
-#: Bump when BlockPlan/RegionPlan/PlanGuard encoding changes — stale
+#: Bump when BlockPlan/RegionPlan encoding changes — stale
 #: on-disk entries from older encodings then simply never match a key.
-DISPATCH_VERSION = 1
+DISPATCH_VERSION = 2
 
 _MAGIC = b"syncperf-plan/v1\n"
 _CHECKSUM_BYTES = 32
@@ -78,7 +77,7 @@ class PlanStore:
 
     One file per shape digest: ``<digest-hex>.plan`` containing
     ``MAGIC + sha256(payload) + payload`` where payload is the pickled
-    ``{"version", "digest", "plans", "guard"}`` dict.  ``load`` returns
+    ``{"version", "digest", "plans"}`` dict.  ``load`` returns
     ``None`` on any mismatch (magic, checksum, version, digest) and
     counts ``dispatch.disk_corrupt`` when the file was framed but bad.
 
@@ -99,7 +98,7 @@ class PlanStore:
         return os.path.join(self.root, digest.hex() + ".plan")
 
     def load(self, digest: bytes):
-        """Return the ``(plans, guard)`` stored for ``digest`` or None."""
+        """Return the plans stored for ``digest`` or None."""
         try:
             with open(self._path(digest), "rb") as fh:
                 blob = fh.read()
@@ -129,15 +128,14 @@ class PlanStore:
             _C_MISS.add(1)
             return None
         _C_HIT.add(1)
-        return entry["plans"], entry["guard"]
+        return entry["plans"]
 
-    def save(self, digest: bytes, plans, guard) -> bool:
+    def save(self, digest: bytes, plans) -> bool:
         """Persist a plan set; returns False when it cannot be pickled."""
         payload_dict = {
             "version": DISPATCH_VERSION,
             "digest": digest,
             "plans": plans,
-            "guard": guard,
         }
         try:
             payload = pickle.dumps(payload_dict,

@@ -433,7 +433,7 @@ class Cuda:
             ticket = None
             # The dispatcher memoizes whole launches per (kernel,
             # machine, config, memory-contents) signature and compiles
-            # per-block plans for steady kernels; it only engages on the
+            # block-plan variants for steady kernels; it only engages on the
             # fast tier (byte-identical by contract) and never when a
             # trace or race detector needs to observe every access.
             if self.fast and detector is None and trace_obj is None:

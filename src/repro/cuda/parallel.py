@@ -296,10 +296,10 @@ def _run_plan_job(job: dict) -> dict:
     written: dict[str, set] = {}
 
     def replay() -> None:
-        for block_idx in job["chunk"]:
-            plan = plans[block_idx]
-            plan.execute(memory, shared_decls, stats)
-            for var, idxs in plan.footprint().writes.items():
+        for block_idx, vi in job["chunk"]:
+            plan = plans[vi]
+            plan.execute(memory, shared_decls, stats, block_idx)
+            for var, idxs in plan.footprint(block_idx).writes.items():
                 written.setdefault(var, set()).update(idxs)
 
     _, spans = traced_execution(
@@ -681,11 +681,11 @@ def try_parallel_plans(pset, memory: dict[str, np.ndarray],
     """
     if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only feature
         return None
-    plans = pset.plans
-    chunks = _chunk_blocks(len(plans), block_jobs)
+    variants, assign = pset.plans, pset.assign
+    chunks = _chunk_blocks(len(assign), block_jobs)
     if len(chunks) < 2:
         return None
-    total_steps = sum(plan.steps for plan in plans)
+    total_steps = sum(variants[vi].steps for vi in assign)
     if total_steps > budget.remaining:
         # Only the serial schedule knows the exact step at which the
         # budget trips.
@@ -695,7 +695,7 @@ def try_parallel_plans(pset, memory: dict[str, np.ndarray],
     for chunk in chunks:
         fp = BlockFootprint()
         for block_idx in chunk:
-            bf = plans[block_idx].footprint()
+            bf = variants[assign[block_idx]].footprint(block_idx)
             for var, idxs in bf.reads.items():
                 fp.reads.setdefault(var, set()).update(idxs)
             for var, idxs in bf.writes.items():
@@ -706,7 +706,7 @@ def try_parallel_plans(pset, memory: dict[str, np.ndarray],
         return None
     if pset.blob is None:
         try:
-            pset.blob = pickle.dumps(plans,
+            pset.blob = pickle.dumps(variants,
                                      protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             obs_event("cuda.plan.fallback", reason="unpicklable plans")
@@ -718,7 +718,7 @@ def try_parallel_plans(pset, memory: dict[str, np.ndarray],
     for chunk, fp in zip(chunks, chunk_fps):
         needed = set(fp.reads) | set(fp.writes)
         job = {
-            "chunk": chunk,
+            "chunk": [(block_idx, assign[block_idx]) for block_idx in chunk],
             "memory": {var: memory[var] for var in needed},
             "shared_decls": shared_decls,
         }
@@ -746,7 +746,8 @@ def try_parallel_plans(pset, memory: dict[str, np.ndarray],
         for var, (idx_arr, values) in result["writes"].items():
             memory[var].reshape(-1)[idx_arr] = values
     cycles: list[float] = []
-    for plan in plans:
+    for vi in assign:
+        plan = variants[vi]
         cycles.append(plan.cycles)
         for name, delta in plan.stats:
             setattr(stats, name, getattr(stats, name) + delta)

@@ -117,6 +117,11 @@ class Recorder:
                 pass
         self.events.append(record)
 
+    def annotate(self, **attrs: object) -> None:
+        """Merge attrs into the innermost open span (no-op if none)."""
+        if self._stack:
+            self._open[self._stack[-1]].setdefault("attrs", {}).update(attrs)
+
     def spans(self) -> list[dict]:
         """Completed span records, in completion order."""
         return [e for e in self.events if e["type"] == "span"]

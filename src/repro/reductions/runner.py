@@ -33,10 +33,6 @@ class ReductionOutcome:
     launch: LaunchConfig
     stats: object
 
-    @property
-    def elapsed_ns(self) -> float:
-        return self.elapsed_cycles  # populated via from_launch with device
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (f"{self.name}: max={self.value} "
                 f"({'ok' if self.correct else 'WRONG'}), "

@@ -26,7 +26,7 @@ from repro.compiler.dispatcher import (
     machine_fingerprint,
 )
 from repro.compiler.lift import kernel_purity
-from repro.cuda.interpreter import Cuda
+from repro.cuda.interpreter import Cuda, KernelThread
 from repro.gpu.costs import GpuCostParams
 from repro.gpu.device import GpuDevice
 from repro.gpu.spec import LaunchConfig
@@ -71,11 +71,18 @@ def divergent_kernel(t):
         yield t.global_write("b", t.global_id, value + 1)
 
 
-_MODULE_SCALE = 3
+_MODULE_TABLE = [3]
 
 
 def impure_kernel(t):
-    yield t.global_write("b", t.global_id, _MODULE_SCALE)
+    yield t.global_write("b", t.global_id, _MODULE_TABLE[0])
+
+
+SCALE = 1
+
+
+def scale_global_kernel(t):
+    yield t.global_write("b", t.global_id, t.global_id * SCALE)
 
 
 LC = LaunchConfig(2, 64)
@@ -221,7 +228,7 @@ class TestCudaDispatch:
     def test_impure_kernel_not_keyed(self, mini_gpu):
         DISPATCHER.clear()
         ok, reason = kernel_purity(impure_kernel)
-        assert not ok and "_MODULE_SCALE" in reason
+        assert not ok and "_MODULE_TABLE" in reason
         cuda = Cuda(mini_gpu)
         before = _counters(*DISPATCH)
         cuda.launch(impure_kernel, LC, _memory())
@@ -319,6 +326,27 @@ class TestModes:
         before = _counters(*DISPATCH)
         Cuda(mini_gpu).launch(steady_kernel, LC, _memory())
         assert all(v == 0 for v in _deltas(before).values())
+
+    def test_forced_replay_sees_module_global_change(self, mini_gpu,
+                                                     monkeypatch):
+        """Tier-0 replay must key on the module globals a kernel reads:
+        same kernel, same memory, different ``SCALE`` — a replay of the
+        first launch would write 0..7 instead of 0..700."""
+        import sys
+        DISPATCHER.clear()
+        cuda = Cuda(mini_gpu)
+        launch = LaunchConfig(1, 8)
+        with dispatch_forced():
+            first = {"b": np.zeros(8, dtype=np.int64)}
+            cuda.launch(scale_global_kernel, launch, first)
+            assert first["b"].tolist() == list(range(8))
+            monkeypatch.setattr(sys.modules[__name__], "SCALE", 100)
+            again = {"b": np.zeros(8, dtype=np.int64)}
+            cuda.launch(scale_global_kernel, launch, again)
+        ref = {"b": np.zeros(8, dtype=np.int64)}
+        Cuda(mini_gpu, fast=False).launch(scale_global_kernel, launch, ref)
+        assert ref["b"].tolist() == [100 * i for i in range(8)]
+        assert _snapshot(again) == _snapshot(ref)
 
     def test_forced_keys_impure_kernels(self, mini_gpu):
         DISPATCHER.clear()
@@ -542,6 +570,119 @@ class TestBenchCompare:
 
 
 # --------------------------------------------------------------------- #
+# Purity proof and fallback accounting
+# --------------------------------------------------------------------- #
+
+
+ON_SCALE = 2
+
+
+def on_scale_kernel(t: KernelThread):
+    yield t.global_write("b", t.global_id, t.global_id * ON_SCALE)
+
+
+def _make_cell_kernel(cell):
+    def kernel(t):
+        yield t.global_write("b", t.global_id, cell[0])
+    return kernel
+
+
+class TestPurityAndFallbacks:
+    def test_listing1_kernels_are_pure(self):
+        from repro.reductions.kernels import REDUCTION_NAMES, make_reduction
+        for name in REDUCTION_NAMES:
+            assert kernel_purity(make_reduction(name, 64)) == (True, ""), \
+                name
+
+    def test_annotations_are_not_references(self):
+        """``t: KernelThread`` never runs while the generator steps."""
+        assert kernel_purity(on_scale_kernel) == (True, "")
+
+    def test_shadowed_builtin_must_be_immutable(self, monkeypatch):
+        import sys
+        module = sys.modules[__name__]
+        monkeypatch.setattr(module, "max", lambda *a: 0, raising=False)
+
+        def kernel(t):
+            yield t.alu(max(1, 2))
+
+        ok, reason = kernel_purity(kernel)
+        assert not ok and "'max'" in reason
+
+    def test_rebound_constant_rekeys_on_mode(self, mini_gpu, monkeypatch):
+        """An immutable module global admits the kernel in ``on`` mode,
+        so rebinding it must re-key both tiers."""
+        import sys
+        DISPATCHER.clear()
+        cuda = Cuda(mini_gpu)
+        launch = LaunchConfig(1, 8)
+        cuda.launch(on_scale_kernel, launch,
+                    {"b": np.zeros(8, dtype=np.int64)})
+        monkeypatch.setattr(sys.modules[__name__], "ON_SCALE", 9)
+        before = _counters("dispatch.hit", "dispatch.shape_hit",
+                           "dispatch.compile")
+        again = {"b": np.zeros(8, dtype=np.int64)}
+        cuda.launch(on_scale_kernel, launch, again)
+        d = _deltas(before)
+        assert d["dispatch.hit"] == d["dispatch.shape_hit"] == 0
+        assert d["dispatch.compile"] == 1
+        assert again["b"].tolist() == [9 * i for i in range(8)]
+
+    def test_fallback_total_is_the_sum_of_reasons(self, mini_gpu,
+                                                  monkeypatch):
+        reasons = ("unfingerprintable", "impure", "unsignable", "memory",
+                   "capture")
+        names = ["dispatch.fallback"] + [f"dispatch.fallback.{r}"
+                                         for r in reasons]
+        DISPATCHER.clear()
+        before = _counters(*names)
+        odd = GpuDevice(dataclasses.replace(mini_gpu.spec),
+                        GpuCostParams())
+        object.__setattr__(odd.spec, "name", object())  # unfreezable
+        Cuda(odd).launch(steady_kernel, LC, _memory())
+        Cuda(mini_gpu).launch(impure_kernel, LC, _memory())
+        Cuda(mini_gpu).launch(_make_cell_kernel([4]), LC, _memory())
+        monkeypatch.setattr(DISPATCHER, "memory_cap", 16)
+        Cuda(mini_gpu).launch(steady_kernel, LC, _memory())
+        monkeypatch.undo()
+        Cuda(mini_gpu).launch(divergent_kernel, LC, _memory())
+        d = _deltas(before)
+        assert all(d[f"dispatch.fallback.{r}"] == 1 for r in reasons), d
+        assert d["dispatch.fallback"] == sum(
+            d[f"dispatch.fallback.{r}"] for r in reasons)
+
+    def test_capture_span_carries_verdict_and_escape(self, mini_gpu):
+        from repro.obs import Recorder, recording
+        DISPATCHER.clear()
+        rec = Recorder()
+        with recording(rec):
+            Cuda(mini_gpu).launch(divergent_kernel, LC, _memory())
+        span, = [s for s in rec.spans() if s["name"] == "dispatch.capture"]
+        assert span["attrs"]["purity"] == "pure"
+        assert "data-dependent value" in span["attrs"]["escape"]
+
+    def test_capture_runs_outside_the_dispatcher_lock(self, mini_gpu,
+                                                      monkeypatch):
+        """Another thread's cache lookups proceed while a capture runs."""
+        real = dmod.lift.capture_block_variant
+        blocked = []
+
+        def capture(*args, **kwargs):
+            other = threading.Thread(target=DISPATCHER.stats)
+            other.start()
+            other.join(timeout=5)
+            blocked.append(other.is_alive())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dmod.lift, "capture_block_variant", capture)
+        DISPATCHER.clear()
+        before = _counters("dispatch.compile")
+        Cuda(mini_gpu).launch(steady_kernel, LC, _memory())
+        assert _deltas(before)["dispatch.compile"] == 1
+        assert blocked == [False], "stats() waited for a running capture"
+
+
+# --------------------------------------------------------------------- #
 # Shape-keyed lifted tier (tier 1)
 # --------------------------------------------------------------------- #
 
@@ -624,8 +765,8 @@ class TestPlanStore:
     def test_round_trip(self, tmp_path):
         from repro.compiler.store import PlanStore
         store = PlanStore(tmp_path)
-        assert store.save(self._digest(1), [1, 2, 3], {"g": 7})
-        assert store.load(self._digest(1)) == ([1, 2, 3], {"g": 7})
+        assert store.save(self._digest(1), [1, 2, 3])
+        assert store.load(self._digest(1)) == [1, 2, 3]
 
     def test_missing_digest_is_a_miss(self, tmp_path):
         from repro.compiler.store import PlanStore
@@ -636,7 +777,7 @@ class TestPlanStore:
     def test_corruption_reads_as_miss(self, tmp_path):
         from repro.compiler.store import PlanStore
         store = PlanStore(tmp_path)
-        store.save(self._digest(3), ["plans"], None)
+        store.save(self._digest(3), ["plans"])
         path, = tmp_path.glob("*.plan")
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF  # flip one payload byte: checksum must catch
@@ -648,7 +789,7 @@ class TestPlanStore:
     def test_truncated_entry_reads_as_miss(self, tmp_path):
         from repro.compiler.store import PlanStore
         store = PlanStore(tmp_path)
-        store.save(self._digest(4), ["plans"], None)
+        store.save(self._digest(4), ["plans"])
         path, = tmp_path.glob("*.plan")
         path.write_bytes(path.read_bytes()[:10])  # torn write
         assert store.load(self._digest(4)) is None
@@ -658,7 +799,7 @@ class TestPlanStore:
         store = PlanStore(tmp_path, max_entries=2)
         before = _counters("cache.evictions")
         for n in range(4):
-            store.save(self._digest(n), [n], None)
+            store.save(self._digest(n), [n])
         assert store.entries() <= 2
         assert _deltas(before)["cache.evictions"] >= 2
 

@@ -63,3 +63,35 @@ def test_public_methods_documented():
                     undocumented.append(
                         f"{module.__name__}.{name}.{attr_name}")
     assert not undocumented, undocumented
+
+
+def test_every_counter_is_in_the_observability_doc():
+    """docs/observability.md names every counter the library registers.
+
+    The registry is read in a fresh interpreter that imports every
+    module (tests register ad-hoc counters of their own); names the
+    code builds at run time are covered by a documented
+    ``prefix.<placeholder>`` pattern.
+    """
+    import pathlib
+    import re
+    import subprocess
+    import sys
+
+    probe = (
+        "import importlib, pkgutil, repro\n"
+        "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "from repro.obs.metrics import REGISTRY\n"
+        "print('\\n'.join(REGISTRY.counters()))\n")
+    names = subprocess.run([sys.executable, "-c", probe], check=True,
+                           capture_output=True, text=True).stdout.split()
+    assert "dispatch.fallback.capture" in names
+    doc = (pathlib.Path(__file__).resolve().parents[1] / "docs"
+           / "observability.md").read_text()
+    documented = set(re.findall(r"`([a-z0-9_.]+)`", doc))
+    patterns = [re.compile(re.escape(prefix) + r"[A-Za-z0-9_]+$")
+                for prefix in re.findall(r"`([a-z0-9_.]+\.)<[a-z]+>`", doc)]
+    missing = [name for name in names if name not in documented
+               and not any(p.match(name) for p in patterns)]
+    assert not missing, missing

@@ -125,3 +125,55 @@ class TestPaperOrdering:
         ratio = outcomes["reduction2"].elapsed_cycles / \
             outcomes["reduction5"].elapsed_cycles
         assert 1.8 <= ratio <= 3.5
+
+
+class TestListing1Engagement:
+    """Tripwire: the dispatch tiers really serve the paper's Listing 1.
+
+    In the default mode, Reductions 1-4 each lift from exactly one
+    block-generic plan variant; Reduction 5 (which branches on the data
+    it reads) is the only capture abort; an identical rerun is served
+    entirely by tier-0 replay; and every answer equals a run with the
+    dispatcher switched off.
+    """
+
+    def test_listing1_engages_the_dispatcher(self, monkeypatch):
+        from repro.compiler.dispatcher import DISPATCHER, dispatch_disabled
+        from repro.experiments.listing1 import run_listing1
+        from repro.obs import Recorder, recording
+        from repro.obs.metrics import counter_value
+
+        monkeypatch.setenv("SYNCPERF_DISPATCH", "on")
+        names = ("dispatch.compile", "dispatch.hit", "dispatch.miss",
+                 "dispatch.fallback", "dispatch.fallback.capture")
+
+        def counters():
+            return {n: counter_value(n) for n in names}
+
+        DISPATCHER.clear()
+        before = counters()
+        rec = Recorder()
+        with recording(rec):
+            first = run_listing1()
+        d = {n: counter_value(n) - v for n, v in before.items()}
+        captures = [s for s in rec.spans()
+                    if s["name"] == "dispatch.capture"]
+        assert [("escape" in s["attrs"]) for s in captures] == \
+            [False] * 4 + [True], "one variant each for R1-R4, R5 aborts"
+        assert d["dispatch.compile"] == 4
+        assert d["dispatch.fallback"] == d["dispatch.fallback.capture"] == 1
+
+        before = counters()
+        again = run_listing1()
+        d = {n: counter_value(n) - v for n, v in before.items()}
+        assert d["dispatch.hit"] == len(REDUCTION_NAMES)
+        assert d["dispatch.miss"] == d["dispatch.compile"] == 0
+
+        with dispatch_disabled():
+            plain = run_listing1()
+        for name in REDUCTION_NAMES:
+            for outcome in (first[name], again[name]):
+                assert outcome.value == plain[name].value, name
+                assert outcome.elapsed_cycles == \
+                    plain[name].elapsed_cycles, name
+                assert outcome.stats == plain[name].stats, name
