@@ -4,7 +4,8 @@ Covers the three layers the multi-device scenario family stands on:
 the :class:`InterconnectModel` cost primitives, the :class:`MultiGpu`
 machine's pricing/noise contract, and the :class:`MultiCuda` runtime's
 memory model — buffered system writes, relaxed system-scope atomics,
-publish points, cooperative barriers, and the replay tier.
+publish points, cooperative barriers, and relaunches on a reused
+runtime.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import pytest
 
 from repro.common.datatypes import INT
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.compiler.dispatcher import dispatch_disabled, dispatch_forced
 from repro.compiler.ops import Op, PrimitiveKind, Scope, op_barrier
 from repro.mem.layout import SharedScalar
 from repro.cuda.multigpu import MultiCuda
@@ -27,7 +27,6 @@ from repro.gpu.interconnect import (
 )
 from repro.gpu.multi import MultiGpu
 from repro.gpu.spec import LaunchConfig
-from repro.obs.metrics import counter_value
 
 LAUNCH = LaunchConfig(4, 64)
 
@@ -252,41 +251,92 @@ class TestMultiCudaSemantics:
                 kernel, LaunchConfig(1, 1), system={})
 
 
-def _replay_kernel(t):
-    """Shared across launches: the replay tier keys on the function."""
-    v = yield t.atomic_add("acc", 0, t.system_id, scope=Scope.SYSTEM)
-    yield t.system_write("out", t.system_id, v)
+#: Read by :func:`_relaunch_kernel`; the relaunch tests rebind it.
+SCALE = 1
 
 
-class TestMultiCudaReplay:
-    def _launch(self, runtime):
+def _relaunch_kernel(t):
+    """Module-level kernel reused across launches of one runtime."""
+    yield t.atomic_add("acc", 0, 1, scope=Scope.SYSTEM)
+    yield t.threadfence(Scope.SYSTEM)
+    yield t.system_write("out", t.system_id, t.system_id * SCALE)
+
+
+def _closure_kernel(scale):
+    def kernel(t):
+        yield t.atomic_add("acc", 0, 1, scope=Scope.SYSTEM)
+        yield t.system_write("out", t.system_id, t.system_id * scale)
+
+    return kernel
+
+
+def _rebind_cell(kernel, name, value):
+    kernel.__closure__[kernel.__code__.co_freevars.index(name)] \
+        .cell_contents = value
+
+
+class TestMultiCudaRelaunch:
+    """A relaunch on a reused runtime must see every change made since
+    the previous launch, exactly as a fresh runtime does."""
+
+    @staticmethod
+    def _launch(runtime, kernel=_relaunch_kernel):
         system = {"acc": np.zeros(1, np.int64),
-                  "out": np.zeros(4, np.int64)}
-        result = runtime.launch(_replay_kernel, LaunchConfig(1, 2),
+                  "out": np.zeros(8, np.int64)}
+        result = runtime.launch(kernel, LaunchConfig(1, 4),
                                 system=system)
         return result, system
 
-    def test_replay_hit_is_byte_identical(self, multi):
-        runtime = MultiCuda(multi, n_devices=2)
-        with dispatch_forced():
-            cold, cold_sys = self._launch(runtime)
-            hits = counter_value("multigpu.replay_hit")
-            warm, warm_sys = self._launch(runtime)
-        assert counter_value("multigpu.replay_hit") == hits + 1
-        assert warm.elapsed_cycles == cold.elapsed_cycles
-        assert vars(warm.stats) == vars(cold.stats)
-        for name in cold_sys:
-            assert warm_sys[name].tobytes() == cold_sys[name].tobytes()
+    def _assert_same(self, got, want):
+        (r1, s1), (r2, s2) = got, want
+        assert r1.elapsed_cycles == r2.elapsed_cycles
+        assert r1.device_cycles == r2.device_cycles
+        assert vars(r1.stats) == vars(r2.stats)
+        for name in s2:
+            assert s1[name].tobytes() == s2[name].tobytes(), name
 
-    def test_dispatch_off_disables_replay(self, multi):
+    def test_module_global_change_is_seen(self, multi, monkeypatch):
         runtime = MultiCuda(multi, n_devices=2)
-        with dispatch_disabled():
+        _, first = self._launch(runtime)
+        assert list(first["out"]) == list(range(8))
+        monkeypatch.setitem(globals(), "SCALE", 100)
+        again = self._launch(runtime)
+        assert list(again[1]["out"]) == [100 * i for i in range(8)]
+        self._assert_same(again,
+                          self._launch(MultiCuda(multi, n_devices=2)))
+
+    def test_lowered_step_budget_is_enforced(self, multi):
+        runtime = MultiCuda(multi, n_devices=2)
+        self._launch(runtime)
+        runtime.max_steps = 1
+        with pytest.raises(SimulationError,
+                           match="step budget exhausted"):
             self._launch(runtime)
-            hits = counter_value("multigpu.replay_hit")
-            misses = counter_value("multigpu.replay_miss")
-            self._launch(runtime)
-        assert counter_value("multigpu.replay_hit") == hits
-        assert counter_value("multigpu.replay_miss") == misses
+        with pytest.raises(SimulationError,
+                           match="step budget exhausted"):
+            self._launch(MultiCuda(multi, n_devices=2, max_steps=1))
+
+    def test_rebound_closure_cell_is_seen(self, multi):
+        runtime = MultiCuda(multi, n_devices=2)
+        kernel = _closure_kernel(1)
+        _, first = self._launch(runtime, kernel)
+        assert list(first["out"]) == list(range(8))
+        _rebind_cell(kernel, "scale", 3)
+        again = self._launch(runtime, kernel)
+        assert list(again[1]["out"]) == [3 * i for i in range(8)]
+        self._assert_same(
+            again, self._launch(MultiCuda(multi, n_devices=2), kernel))
+
+    def test_interconnect_change_is_priced(self, mini_gpu):
+        multi = MultiGpu(mini_gpu)
+        runtime = MultiCuda(multi, n_devices=2)
+        before, _ = self._launch(runtime)
+        multi.interconnect = PCIE4
+        again = self._launch(runtime)
+        assert again[0].elapsed_cycles != before.elapsed_cycles
+        fresh = MultiCuda(MultiGpu(mini_gpu, interconnect=PCIE4),
+                          n_devices=2)
+        self._assert_same(again, self._launch(fresh))
 
 
 class TestMultiGpuWorkloads:
