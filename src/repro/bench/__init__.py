@@ -5,15 +5,12 @@ path (:func:`repro.core.engine.reference_engine`) at four granularities
 — the raw protocol kernel, a representative sweep, the kernel
 interpreters (``interp_*`` rows: CUDA/OpenMP workloads under batched
 uniform-pass dispatch and the JIT-style dispatch tiers vs the scalar
-schedulers, the ``parallel_blocks`` persistent-pool-vs-fork-per-launch
-row, and the ``dispatch_*`` dispatcher-tier rows: warm replay
+schedulers, and the ``dispatch_*`` dispatcher-tier rows: warm replay
 (``dispatch_replay``), lifted plans on fresh data
-(``dispatch_lifted``/``dispatch_omp_lifted``), shape-keyed plan reuse
-(``dispatch_shape_sweep``), and on-disk plan warm-up
-(``dispatch_disk_warm``)), and a full campaign (serial vs ``jobs=N``)
-— and
-writes ``BENCH_engine.json`` at the repo root in a stable schema so the
-performance trajectory is tracked across PRs:
+(``dispatch_lifted``/``dispatch_omp_lifted``), and shape-keyed plan
+reuse (``dispatch_shape_sweep``)), and a full campaign (serial vs
+``jobs=N``) — and writes ``BENCH_engine.json`` at the repo root in a
+stable schema so the performance trajectory is tracked across PRs:
 
 .. code-block:: json
 
@@ -298,53 +295,6 @@ def _interp_omp_prefix_sum():
     return (out.elapsed, out.correct, out.values.tobytes())
 
 
-def _bench_parallel_blocks(repeats: int) -> dict:
-    """Persistent worker pool vs fork-per-launch at ``block_jobs=2``.
-
-    ``reference_s`` fans the same disjoint multi-block workload out
-    through a throwaway worker pool spawned for every launch (the
-    regime the persistent pool replaced); ``fast_s`` reuses the shared
-    pool, so the row isolates exactly the overhead the pool eliminates
-    and is stable regardless of available cores.  The serial schedule
-    must stay byte-identical to the fan-out (the parallel executor's
-    contract), and the pool must actually merge — a silent serial
-    fallback would benchmark nothing.  The JIT dispatcher is disabled
-    throughout: replay hits would short-circuit the fan-out entirely.
-    """
-    import numpy as np
-    from repro.compiler.dispatcher import dispatch_disabled
-    from repro.cuda.parallel import fork_per_launch
-    from repro.gpu.presets import gpu_preset
-    from repro.workloads.prefix_sum import gpu_segmented_prefix_sum
-    device = gpu_preset(1)
-    data = (np.arange(8 * 64, dtype=np.int64) * 7919) % 1000
-
-    def run(jobs: int):
-        out = gpu_segmented_prefix_sum(device, data, block_threads=64,
-                                       block_jobs=jobs)
-        return (out.elapsed, out.correct, out.values.tobytes())
-
-    with dispatch_disabled():
-        if run(1) != run(2):
-            raise SimulationError(
-                "parallel_blocks: block_jobs=2 diverged from the serial "
-                "schedule; refusing to benchmark")
-        merged = counter_value("interp.cuda.fork.forked")
-        run(2)
-        if counter_value("interp.cuda.fork.forked") == merged:
-            raise SimulationError(
-                "parallel_blocks: the worker pool never merged a "
-                "fan-out (serial fallback); refusing to benchmark")
-
-        def run_fork_per_launch():
-            with fork_per_launch():
-                run(2)
-
-        return _row("parallel_blocks",
-                    _best_of(run_fork_per_launch, repeats),
-                    _best_of(lambda: run(2), repeats), jobs=2)
-
-
 # ------------------------------ dispatcher ----------------------------- #
 
 
@@ -416,72 +366,6 @@ def _bench_dispatch_replay(repeats: int) -> dict:
             "dispatch_replay: replay diverged from cold execution; "
             "refusing to benchmark a broken cache")
     return _row("dispatch_replay", _best_of(run_cold, repeats),
-                _best_of(run_warm, repeats))
-
-
-def _bench_multigpu_replay(repeats: int) -> dict:
-    """Cold cooperative multi-GPU launch vs warm replay hits.
-
-    Same shape as ``dispatch_replay``, one layer up: a multi-device
-    kernel with system-scope atomics, fences, and ``multi_grid.sync``
-    rounds is launched cold (replay cache cleared every run) and warm
-    (identical relaunch through the same runtime).  Engagement is
-    witnessed by ``multigpu.replay_hit`` moving, and the replayed
-    system memory must be byte-identical to the cold run's.
-    """
-    import numpy as np
-    from repro.compiler.ops import Scope
-    from repro.cuda.multigpu import MultiCuda
-    from repro.gpu.multi import MultiGpu
-    from repro.gpu.presets import gpu_preset
-    from repro.gpu.spec import LaunchConfig
-
-    n_devices = 2
-    launch = LaunchConfig(2, 32)
-    n_total = n_devices * launch.grid_blocks * launch.block_threads
-    runtime = MultiCuda(MultiGpu(gpu_preset(3)), n_devices=n_devices)
-
-    def kernel(t):
-        acc = t.system_id % 7
-        for _ in range(3):
-            v = yield t.atomic_add("acc", 0, 1, scope=Scope.SYSTEM)
-            acc = (acc + int(v)) % 1009
-            yield t.system_write("buf", t.system_id, acc)
-            yield t.threadfence(Scope.SYSTEM)
-            yield t.multi_grid_sync()
-            w = yield t.system_read(
-                "buf", (t.system_id + 1) % t.system_threads)
-            acc = (acc + int(w)) % 1009
-        yield t.system_write("out", t.system_id, acc)
-
-    def system():
-        return {"acc": np.zeros(1, np.int64),
-                "buf": np.zeros(n_total, np.int64),
-                "out": np.zeros(n_total, np.int64)}
-
-    def run_cold():
-        runtime.clear()
-        return runtime.launch(kernel, launch, system=system())
-
-    def run_warm():
-        return runtime.launch(kernel, launch, system=system())
-
-    cold_result = run_cold()
-    prime = run_warm()  # record once, then every warm run replays
-    hits = counter_value("multigpu.replay_hit")
-    warm_result = run_warm()
-    if counter_value("multigpu.replay_hit") == hits:
-        raise SimulationError(
-            "multigpu_replay: identical relaunch missed the replay "
-            "cache; refusing to benchmark")
-    for a, b in ((cold_result, prime), (prime, warm_result)):
-        if a.elapsed_cycles != b.elapsed_cycles or any(
-                a.system[k].tobytes() != b.system[k].tobytes()
-                for k in a.system):
-            raise SimulationError(
-                "multigpu_replay: replay diverged from cold "
-                "execution; refusing to benchmark a broken cache")
-    return _row("multigpu_replay", _best_of(run_cold, repeats),
                 _best_of(run_warm, repeats))
 
 
@@ -626,59 +510,6 @@ def _bench_dispatch_omp_lifted(repeats: int) -> dict:
             "the fast side; refusing to benchmark")
     return _row("dispatch_omp_lifted", _best_of(run_reference, repeats),
                 _best_of(run_fast, repeats))
-
-
-def _bench_dispatch_disk_warm(repeats: int) -> dict:
-    """Cold-process warm-up from the on-disk plan store vs recapture.
-
-    Both sides start every run from an emptied in-memory dispatcher
-    (the cold-process regime).  The fast side loads its compiled plans
-    from a warm :class:`repro.compiler.store.PlanStore`
-    (``dispatch.disk_hit`` is the engagement witness); the reference
-    side has no store and must recapture the plans by interpreting the
-    launch symbolically.
-    """
-    import tempfile
-    import numpy as np
-    from repro.compiler.dispatcher import DISPATCHER
-    from repro.compiler.store import PlanStore
-    run, n = _dispatch_case()
-    a = (np.arange(n, dtype=np.int64) * 29) % 193
-    saved = DISPATCHER.plan_store
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            store = PlanStore(tmp)
-
-            def run_disk():
-                DISPATCHER.clear()
-                DISPATCHER.plan_store = store
-                return run(a.copy())
-
-            def run_recapture():
-                DISPATCHER.clear()
-                DISPATCHER.plan_store = None
-                return run(a.copy())
-
-            warm_result = run_disk()  # capture once, warm the store
-            hits = counter_value("dispatch.disk_hit")
-            disk_result = run_disk()
-            if counter_value("dispatch.disk_hit") == hits:
-                raise SimulationError(
-                    "dispatch_disk_warm: the cold dispatcher never "
-                    "loaded plans from the warm store; refusing to "
-                    "benchmark")
-            cold_result = run_recapture()
-            if not (warm_result == disk_result == cold_result):
-                raise SimulationError(
-                    "dispatch_disk_warm: disk-loaded plans diverged "
-                    "from recapture; refusing to benchmark a broken "
-                    "store")
-            return _row("dispatch_disk_warm",
-                        _best_of(run_recapture, repeats),
-                        _best_of(run_disk, repeats))
-    finally:
-        DISPATCHER.plan_store = saved
-        DISPATCHER.clear()
 
 
 # ------------------------------- service ------------------------------- #
@@ -962,13 +793,10 @@ def run_benchmarks(smoke: bool = False, jobs: int = 2) -> dict:
                       omp_rounds, repeats),
         _bench_interp("interp_omp_prefix_sum", _interp_omp_prefix_sum,
                       omp_rounds, repeats),
-        _bench_parallel_blocks(repeats),
         _bench_dispatch_replay(repeats),
-        _bench_multigpu_replay(repeats),
         _bench_dispatch_lifted(repeats),
         _bench_dispatch_shape_sweep(repeats),
         _bench_dispatch_omp_lifted(repeats),
-        _bench_dispatch_disk_warm(repeats),
         *_bench_service(repeats),
         _bench_obs_tracing(repeats),
         _bench_campaign(CAMPAIGN_IDS_SMOKE if smoke else CAMPAIGN_IDS,

@@ -27,10 +27,7 @@ specialized callable per type signature:
   machine fingerprint, array dtypes/shapes, but *not* element content —
   so a sweep re-launching the same structure over fresh RNG inputs hits
   this tier on every launch after the first (``dispatch.shape_hit``).
-  When a :class:`~repro.compiler.store.PlanStore` is configured
-  (``SYNCPERF_PLAN_CACHE``), plans persist on disk across processes —
-  a cold process warms from disk (``dispatch.disk_hit``) before paying
-  a capture.
+  Plans live in memory only, in a bounded LRU.
 * **Fast/reference tiers**: everything else falls through to the
   existing batched fast path and scalar reference untouched.
 
@@ -50,10 +47,8 @@ captured), ``dispatch.fallback`` (launches the dispatcher examined but
 left to the fast/scalar tiers — the exact sum of the per-reason
 ``dispatch.fallback.unfingerprintable`` / ``.impure`` / ``.unsignable``
 / ``.memory`` / ``.capture`` counters), ``dispatch.lifted_blocks``,
-``dispatch.lifted_regions``, ``dispatch.evictions``, and the disk
-tier's ``dispatch.disk_hit`` / ``disk_miss`` / ``disk_write`` /
-``disk_corrupt`` (see :mod:`repro.compiler.store`).  When a recorder
-is installed the tiers also emit spans — ``dispatch.capture`` (with
+``dispatch.lifted_regions``, and ``dispatch.evictions``.  When a
+recorder is installed the tiers also emit spans — ``dispatch.capture`` (with
 the ``kernel_purity`` verdict and, on abort, the ``CaptureEscape``
 message), ``dispatch.replay``, and ``dispatch.lifted`` (with the plan
 ``source``) — which traced service requests carry across process
@@ -81,7 +76,6 @@ from dataclasses import is_dataclass
 import numpy as np
 
 from repro.compiler import lift
-from repro.compiler.store import store_from_env
 from repro.obs import span as obs_span
 from repro.obs.metrics import counter as _counter
 
@@ -282,33 +276,26 @@ def _shape_digest(sig: tuple) -> bytes:
     """Collapse a structural plan signature into 16 stable bytes.
 
     The signature holds only primitives, bytes digests, enums, and
-    (frozen) dataclasses, all with deterministic ``repr``, so the digest
-    is stable across processes — which is what lets it double as the
-    on-disk plan-store filename and the pool's plan-shipping key.
+    (frozen) dataclasses, all with deterministic ``repr``.
     """
     return hashlib.blake2b(repr(sig).encode(), digest_size=16).digest()
 
 
 class _PlanSet:
-    """Cached lifted plans plus their pool-shipping blob.
+    """Cached lifted plans for one shape digest.
 
     ``plans`` is a list of ``BlockPlan`` variants (CUDA) or a single
     ``RegionPlan`` (OpenMP).  For CUDA, ``assign`` maps each block of
     the launch shape to the index of the first variant whose guard
     admits it (built on first use; the grid is part of the shape
-    digest).  ``blob``/``ship_key`` lazily cache the pickled variants
-    and their content key for pool shipping — keyed by content, not
-    shape digest, so growing the variant set can never collide with a
-    worker's stale copy.
+    digest).
     """
 
-    __slots__ = ("plans", "assign", "blob", "ship_key")
+    __slots__ = ("plans", "assign")
 
     def __init__(self, plans) -> None:
         self.plans = plans
         self.assign = None
-        self.blob = None
-        self.ship_key = None
 
 
 # --------------------------------------------------------------------- #
@@ -381,10 +368,6 @@ class Dispatcher:
         self.max_bytes = max_bytes
         self.max_plans = max_plans
         self.memory_cap = memory_cap
-        #: Optional on-disk PlanStore (None = memory only).  The
-        #: process-wide DISPATCHER picks it up from SYNCPERF_PLAN_CACHE;
-        #: the measurement service sets it explicitly for its workers.
-        self.plan_store = store_from_env()
         self._lock = threading.RLock()
         self._entries: OrderedDict = OrderedDict()
         self._bytes = 0
@@ -445,25 +428,6 @@ class Dispatcher:
                 self._plans.popitem(last=False)
                 _C_EVICT.add(1)
 
-    def _cached_plans(self, digest: bytes):
-        """Plans for one shape digest from memory, then disk.
-
-        Returns ``(plan_set, source)``: a :class:`_PlanSet` or
-        :data:`_UNLIFTABLE` with ``"mem"``/``"disk"``, or
-        ``(None, None)`` when nothing is cached.
-        """
-        pset = self._get_plans(digest)
-        if pset is not None:
-            return pset, "mem"
-        store = self.plan_store
-        if store is not None:
-            plans = store.load(digest)
-            if plans is not None:
-                pset = _PlanSet(plans)
-                self._put_plans(digest, pset)
-                return pset, "disk"
-        return None, None
-
     def _capture(self, digest: bytes, fn, capture, **attrs):
         """Run one symbolic capture; None when it escapes.
 
@@ -492,12 +456,6 @@ class Dispatcher:
                 return None
         _C_COMPILE.add(1)
         return plan
-
-    def _remember(self, digest: bytes, pset: _PlanSet) -> None:
-        """Cache a (new or grown) plan set in memory and on disk."""
-        self._put_plans(digest, pset)
-        if self.plan_store is not None:
-            self.plan_store.save(digest, pset.plans)
 
     def _digest_memory(self, memory) -> tuple | None:
         """(static signature, content digest, pre-bytes snapshot), or
@@ -575,17 +533,17 @@ class Dispatcher:
 
         Reuses the first cached variant whose guard admits each block
         and captures a new variant only for blocks none covers.
-        Returns ``(plan_set, source)``; ``source`` is ``"mem"``,
-        ``"disk"``, or ``"fresh"`` (some variant was captured now), and
-        ``plan_set`` is None when any capture escaped — the whole
-        launch is then unliftable.
+        Returns ``(plan_set, source)``; ``source`` is ``"mem"`` or
+        ``"fresh"`` (some variant was captured now), and ``plan_set`` is
+        None when any capture escaped — the whole launch is then
+        unliftable.
         """
         digest = ticket.plan_key
-        pset, source = self._cached_plans(digest)
+        pset = self._get_plans(digest)
         if pset is _UNLIFTABLE:
             return None, None
         if pset is not None and pset.assign is not None:
-            return pset, source
+            return pset, "mem"
         # Scan (and capture) on a private copy outside the lock, then
         # publish the finished set whole: concurrent launches of one
         # shape each publish valid variants, and the last writer wins.
@@ -625,10 +583,10 @@ class Dispatcher:
             assign.append(vi)
         if pset is not None and len(variants) == len(pset.plans):
             pset.assign = assign  # nothing captured: same variants
-            return pset, source
+            return pset, "mem"
         pset = _PlanSet(variants)
         pset.assign = assign
-        self._remember(digest, pset)
+        self._put_plans(digest, pset)
         return pset, "fresh"
 
     # ------------------------------ OpenMP ---------------------------- #
@@ -691,15 +649,8 @@ class _CudaTicket:
         _C_HIT.add(1)
         return list(entry.block_cycles)
 
-    def run_lifted(self, ctx, stats, budget,
-                   block_jobs: int = 1) -> list[float] | None:
-        """Execute via compiled block-plan variants; None when unliftable.
-
-        With ``block_jobs > 1`` the variants are marshalled to the
-        persistent worker pool (cached worker-side by content key) and
-        replayed there instead of re-interpreted; any hazard falls back
-        to the serial plan loop below, byte-identically.
-        """
+    def run_lifted(self, ctx, stats, budget) -> list[float] | None:
+        """Execute via compiled block-plan variants; None when unliftable."""
         pset, source = self.disp._cuda_plans(self, ctx)
         if pset is None:
             _fallback("capture")
@@ -709,14 +660,6 @@ class _CudaTicket:
         variants, assign = pset.plans, pset.assign
         with obs_span("dispatch.lifted", kind="cuda", blocks=len(assign),
                       variants=len(variants), source=source):
-            if block_jobs > 1 and self.launch.grid_blocks > 1:
-                from repro.cuda.parallel import try_parallel_plans
-                cycles = try_parallel_plans(pset, self.memory,
-                                            self.shared_decls, stats,
-                                            budget, block_jobs)
-                if cycles is not None:
-                    _C_LIFTED.add(len(assign))
-                    return cycles
             from repro.cuda.fastpath import run_block_fast
             cycles: list[float] = []
             n_lifted = 0
@@ -805,7 +748,7 @@ class _OmpTicket:
         """
         omp = self.omp
         disp = self.disp
-        pset, source = disp._cached_plans(self.plan_key)
+        pset, source = disp._get_plans(self.plan_key), "mem"
         if pset is None:
             shared_info = {name: (arr.size, arr.dtype)
                            for name, arr in self.shared_map.items()}
@@ -816,7 +759,7 @@ class _OmpTicket:
                                                  omp.max_steps))
             if plan is not None:
                 pset, source = _PlanSet(plan), "fresh"
-                disp._remember(self.plan_key, pset)
+                disp._put_plans(self.plan_key, pset)
         if pset is None or pset is _UNLIFTABLE:
             _fallback("capture")
             return None

@@ -325,17 +325,13 @@ def _compile_values(nodes: tuple):
 
 
 class _LaneValues:
-    """One pass's per-lane value expressions, compiled on first use
-    (only the expression trees are pickled)."""
+    """One pass's per-lane value expressions, compiled on first use."""
 
     __slots__ = ("nodes", "fn")
 
     def __init__(self, nodes: tuple) -> None:
         self.nodes = nodes
         self.fn = None
-
-    def __reduce__(self):
-        return _LaneValues, (self.nodes,)
 
     def __call__(self, env: list, b: int) -> list:
         if self.fn is None:
@@ -911,60 +907,24 @@ class BlockPlan:
             ``excluded``.
     """
 
-    _STATE = ("cycles", "steps", "n_slots", "effects", "stats", "lo",
-              "hi", "excluded")
-    __slots__ = _STATE + ("fps",)
+    __slots__ = ("cycles", "steps", "n_slots", "effects", "stats", "lo",
+                 "hi", "excluded")
 
     def __init__(self, cycles: float, steps: int, n_slots: int,
                  effects: list, stats: tuple, lo: int, hi: int,
                  excluded: frozenset) -> None:
-        self.__setstate__((cycles, steps, n_slots, effects, stats, lo, hi,
-                           excluded))
-
-    def __getstate__(self):
-        return tuple(getattr(self, name) for name in self._STATE)
-
-    def __setstate__(self, state) -> None:
-        for name, value in zip(self._STATE, state):
-            setattr(self, name, value)
-        self.fps = {}  # block -> footprint memo (not pickled)
+        self.cycles = cycles
+        self.steps = steps
+        self.n_slots = n_slots
+        self.effects = effects
+        self.stats = stats
+        self.lo = lo
+        self.hi = hi
+        self.excluded = excluded
 
     def covers(self, b: int) -> bool:
         """True when this variant's guard admits block ``b``."""
         return self.lo <= b <= self.hi and b not in self.excluded
-
-    def footprint(self, b: int):
-        """Block ``b``'s global-memory footprint under this plan.
-
-        Effect indices are static per block, so the
-        :class:`~repro.cuda.race.BlockFootprint` the fast tier would
-        record is derivable without executing anything — that is what
-        lets the pool verify chunk disjointness *before* dispatching
-        plans to workers.  Atomics count as writes (their returned old
-        value makes overlap order-visible), matching
-        :meth:`BlockFootprint.record_pass`.  Memoized per block: a
-        variant's effects never change once captured.
-        """
-        fp = self.fps.get(b)
-        if fp is not None:
-            return fp
-        from repro.cuda.race import BlockFootprint
-        fp = BlockFootprint()
-        for eff in self.effects:
-            if eff[0] == "r":
-                _, in_shared, var, base, coeff, _ = eff
-                target = fp.reads
-            elif eff[0] == "w":
-                in_shared, var, base, coeff = eff[1:5]
-                target = fp.writes
-            else:  # "a"
-                in_shared, var, base, coeff = eff[2:6]
-                target = fp.writes
-            if not in_shared:
-                idx = base if coeff is None else base + coeff * b
-                target.setdefault(var, set()).update(idx.tolist())
-        self.fps[b] = fp
-        return fp
 
     def execute(self, memory: dict[str, np.ndarray],
                 shared_decls: dict[str, tuple[int, np.dtype]],
@@ -1726,14 +1686,6 @@ class RegionPlan:
         self.steps = steps
         self.n_slots = n_slots
         self.effects = effects
-
-    def __getstate__(self):
-        return (self.thread_times, self.elapsed, self.barriers,
-                self.requests, self.steps, self.n_slots, self.effects)
-
-    def __setstate__(self, state):
-        (self.thread_times, self.elapsed, self.barriers, self.requests,
-         self.steps, self.n_slots, self.effects) = state
 
     def execute(self, memory: dict[str, np.ndarray]) -> None:
         """Replay the recorded effects against live shared arrays."""

@@ -388,7 +388,7 @@ class Cuda:
     def launch(self, kernel: Kernel, launch: LaunchConfig,
                globals_: Mapping[str, np.ndarray] | None = None,
                shared_decls: Mapping[str, tuple[int, np.dtype]] | None = None,
-               trace: bool = False, block_jobs: int = 1) -> LaunchResult:
+               trace: bool = False) -> LaunchResult:
         """Run ``kernel`` over the whole grid to completion.
 
         Args:
@@ -399,13 +399,6 @@ class Cuda:
                 ``name -> (n_elements, numpy dtype)``.
             trace: Record a per-warp-pass execution timeline in
                 ``result.trace``.
-            block_jobs: Fan independent blocks out over this many worker
-                processes.  Safe only when blocks touch disjoint global
-                locations; the interpreter records every block's global
-                footprint, verifies pairwise disjointness with the race
-                machinery, and transparently re-executes serially when
-                the verification fails — the ``LaunchResult`` is
-                byte-identical to a serial launch either way.
 
         Raises:
             SimulationError: on deadlock, divergent collectives, barrier
@@ -443,20 +436,7 @@ class Cuda:
             if ticket is not None:
                 block_cycles = ticket.replay(stats, budget)
                 if block_cycles is None:
-                    block_cycles = ticket.run_lifted(ctx, stats, budget,
-                                                     block_jobs)
-            # Block fan-out rides on the fast runner (the reference path
-            # is the authoritative *serial* semantics) and is
-            # incompatible with a launch-wide race detector, whose
-            # history must observe every block's accesses in one
-            # process.
-            if block_cycles is None and self.fast and block_jobs > 1 \
-                    and launch.grid_blocks > 1 and detector is None:
-                from repro.cuda.parallel import try_parallel_blocks
-                block_cycles = try_parallel_blocks(
-                    self, kernel, launch, ctx, memory, shared, stats,
-                    budget, trace_obj, block_jobs)
-
+                    block_cycles = ticket.run_lifted(ctx, stats, budget)
             if block_cycles is None:
                 block_cycles = [
                     self._run_block(kernel, launch, ctx, block_idx,
@@ -509,8 +489,7 @@ class Cuda:
                    shared_decls: dict[str, tuple[int, np.dtype]],
                    stats: LaunchStats, budget: StepBudget,
                    trace: Trace | None = None,
-                   detector: GpuRaceDetector | None = None,
-                   footprint=None) -> float:
+                   detector: GpuRaceDetector | None = None) -> float:
         """Execute one block to completion and return its modeled cycles.
 
         Dispatches to the batched fast runner
@@ -522,11 +501,10 @@ class Cuda:
             from repro.cuda.fastpath import run_block_fast
             return run_block_fast(self, kernel, launch, ctx, block_idx,
                                   memory, shared_decls, stats, budget,
-                                  trace, detector, footprint)
+                                  trace, detector)
         return self._run_block_reference(kernel, launch, ctx, block_idx,
                                          memory, shared_decls, stats,
-                                         budget, trace, detector,
-                                         footprint)
+                                         budget, trace, detector)
 
     def _run_block_reference(self, kernel: Kernel, launch: LaunchConfig,
                              ctx: GpuRunContext, block_idx: int,
@@ -534,9 +512,8 @@ class Cuda:
                              shared_decls: dict[str, tuple[int, np.dtype]],
                              stats: LaunchStats, budget: StepBudget,
                              trace: Trace | None = None,
-                             detector: GpuRaceDetector | None = None,
-                             footprint=None) -> float:
-        del footprint  # footprints are recorded by the fast runner only
+                             detector: GpuRaceDetector | None = None
+                             ) -> float:
         _C_BLOCKS_REFERENCE.add(1)
         shared = {name: np.zeros(size, dtype=dt)
                   for name, (size, dt) in shared_decls.items()}

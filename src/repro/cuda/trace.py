@@ -46,15 +46,6 @@ class Trace:
         """Record one warp pass."""
         self.events.append(TraceEvent(block, warp, label, start, end))
 
-    def extend(self, other: "Trace") -> None:
-        """Append another trace's events in their recorded order.
-
-        Used by the parallel block executor to merge per-chunk traces
-        back into the launch trace in block order, so the merged event
-        list is byte-identical to a serial launch's.
-        """
-        self.events.extend(other.events)
-
     def for_block(self, block: int) -> list[TraceEvent]:
         """Events of one block, in recording order."""
         return [e for e in self.events if e.block == block]

@@ -100,8 +100,7 @@ class MultiGpu:
         self.device = device
         self.interconnect = interconnect
         self.coherence = coherence or CoherenceModel()
-        self._context_cache: dict[tuple[int, LaunchConfig],
-                                  MultiGpuRunContext] = {}
+        self._context_cache: dict[tuple, MultiGpuRunContext] = {}
 
     @property
     def name(self) -> str:
@@ -118,10 +117,16 @@ class MultiGpu:
 
     def context(self, n_devices: int,
                 launch: LaunchConfig) -> MultiGpuRunContext:
-        """Resolve a (device count, launch) pair into a cached context."""
+        """Resolve a (device count, launch) pair into a cached context.
+
+        The cache also keys on the device, interconnect, and coherence
+        model, so a context's memoized prices never outlive a swap of
+        any of them.
+        """
         if n_devices < 1:
             raise ConfigurationError("need at least one device")
-        key = (n_devices, launch)
+        key = (n_devices, launch, self.device, self.interconnect,
+               self.coherence)
         cached = self._context_cache.get(key)
         if cached is not None:
             return cached

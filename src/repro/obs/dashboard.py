@@ -23,7 +23,6 @@ from repro.obs.hist import LatencyHistogram
 TIER_MIX_COUNTERS = (
     ("replay", "dispatch.hit"),
     ("shape", "dispatch.shape_hit"),
-    ("disk", "dispatch.disk_hit"),
     ("lift", "dispatch.compile"),
     ("fallback", "dispatch.fallback"),
 )

@@ -30,9 +30,9 @@ behaviour.  Install one for a block with::
         with span("campaign", experiments=3):
             ...
 
-Recorders are process-local: campaign workers (``--jobs N``) and forked
-block executors inherit a copy at fork time and their recordings die
-with them — run with ``jobs=1`` when a complete span tree matters.
+Recorders are process-local: campaign workers (``--jobs N``) inherit a
+copy at fork time and their recordings die with them — run with
+``jobs=1`` when a complete span tree matters.
 """
 
 from __future__ import annotations

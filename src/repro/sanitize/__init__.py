@@ -56,11 +56,15 @@ _KERNEL_CACHE: dict[tuple[object, str | None, tuple[str, ...] | None],
                     Report] = {}
 
 
+_C_KERNELS = metrics.counter("sanitize.kernels")
+_C_FINDINGS = metrics.counter("sanitize.findings")
+
+
 def _count(report: Report) -> Report:
     """Publish a report's finding counts to the obs metrics registry."""
-    metrics.counter("sanitize.kernels").add(report.kernels)
+    _C_KERNELS.add(report.kernels)
     if report.findings:
-        metrics.counter("sanitize.findings").add(len(report.findings))
+        _C_FINDINGS.add(len(report.findings))
         for rule, n in report.by_rule().items():
             metrics.counter(f"sanitize.findings.{rule}").add(n)
     return report

@@ -62,9 +62,7 @@ _GPU_BLOCKS = (1, 2, 4)
 KNOWN_ATTR_COUNTERS = (
     "dispatch.hit", "dispatch.miss", "dispatch.shape_hit",
     "dispatch.compile", "dispatch.fallback", "dispatch.lifted_blocks",
-    "dispatch.lifted_regions", "dispatch.evictions",
-    "dispatch.disk_hit", "dispatch.disk_miss", "dispatch.disk_write",
-    "dispatch.disk_corrupt", "cache.evictions",
+    "dispatch.lifted_regions", "dispatch.evictions", "cache.evictions",
 )
 
 

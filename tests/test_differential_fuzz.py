@@ -249,14 +249,21 @@ def _gen_mg_ops(rng):
     return ops
 
 
-def _make_mg_kernel(program):
-    """Build a closure kernel replaying one multi-device descriptor
-    list.  One closure per program: the replay tier keys on the kernel
-    function object, so reference and fast instances must share it."""
+#: Read by every generated multi-device kernel; the relaunch fuzz flips
+#: it between two launches.
+_MG_SALT = 0
+
+
+def _make_mg_kernel(program, salt=0):
+    """Build a closure kernel running one multi-device descriptor list.
+
+    The starting accumulator reads the module global ``_MG_SALT`` and
+    the closure cell ``salt``, so the fuzz can change either between
+    launches of the same function object."""
     from repro.compiler.ops import Scope
 
     def kernel(t):
-        acc = t.system_id % 7
+        acc = (t.system_id + salt + _MG_SALT) % 7
         for op in program:
             kind = op[0]
             if kind == "alu":
@@ -307,11 +314,29 @@ def _run_mg(runtime, kernel, grid, block, n_total):
         device_globals={"d0": (grid * block, np.dtype(np.int64))})
 
 
+#: Changes made between the two launches of one multi-device seed,
+#: taken in turn by seed.
+_MG_CHANGES = ("global", "cell", "cost")
+
+
+def _mg_outcome_bytes(result):
+    return (result.elapsed_cycles, tuple(result.device_cycles),
+            tuple(sorted(vars(result.stats).items())),
+            tuple((name, arr.tobytes())
+                  for name, arr in sorted(result.system.items())),
+            tuple((name, arr.tobytes()) for mem in result.device_memories
+                  for name, arr in sorted(mem.items())))
+
+
 @pytest.mark.parametrize("seed", range(N_MG_PROGRAMS))
-def test_multigpu_replay_matches_reference(mini_gpu, seed):
-    """Cooperative/system-scope programs must be byte-identical between
-    the reference run and the replay tier, cold and warm, with the
-    replay provably engaged (``multigpu.replay_hit`` tripwire)."""
+def test_multigpu_replay_matches_reference(mini_gpu, monkeypatch, seed):
+    """Relaunching a cooperative/system-scope program on a reused
+    runtime, after a change that affects its answer, must be
+    byte-identical to the same launch on a fresh runtime.  Seeds take
+    turns flipping a module global, rebinding a closure cell, and
+    mutating an interconnect cost field."""
+    from dataclasses import replace
+
     from repro.cuda.multigpu import MultiCuda
     from repro.gpu.multi import MultiGpu
 
@@ -323,34 +348,28 @@ def test_multigpu_replay_matches_reference(mini_gpu, seed):
     n_total = n_devices * grid * block
     kernel = _make_mg_kernel(program)
     multi = MultiGpu(mini_gpu)
+    runtime = MultiCuda(multi, n_devices=n_devices)
 
-    ref = _run_mg(MultiCuda(multi, n_devices=n_devices, fast=False),
-                  kernel, grid, block, n_total)
-    fast_runtime = MultiCuda(multi, n_devices=n_devices, fast=True)
-    with dispatch_forced():
-        cold = _run_mg(fast_runtime, kernel, grid, block, n_total)
-        hits = counter_value("multigpu.replay_hit")
-        warm = _run_mg(fast_runtime, kernel, grid, block, n_total)
-    assert counter_value("multigpu.replay_hit") > hits, \
-        f"seed {seed}: identical relaunch did not replay"
-    for label, result in (("cold", cold), ("warm", warm)):
-        assert result.elapsed_cycles == ref.elapsed_cycles, \
-            f"seed {seed} ({label})"
-        assert result.device_cycles == ref.device_cycles, \
-            f"seed {seed} ({label})"
-        assert vars(result.stats) == vars(ref.stats), \
-            f"seed {seed} ({label})"
-        assert set(result.system) == set(ref.system)
-        for name in ref.system:
-            assert result.system[name].tobytes() == \
-                ref.system[name].tobytes(), \
-                f"seed {seed} ({label}): {name}"
-        assert len(result.device_memories) == len(ref.device_memories)
-        for d, mem in enumerate(ref.device_memories):
-            for name in mem:
-                assert result.device_memories[d][name].tobytes() == \
-                    mem[name].tobytes(), \
-                    f"seed {seed} ({label}): device {d} {name}"
+    first = _run_mg(runtime, kernel, grid, block, n_total)
+    change = _MG_CHANGES[seed % len(_MG_CHANGES)]
+    if change == "global":
+        monkeypatch.setitem(globals(), "_MG_SALT", 1)
+    elif change == "cell":
+        kernel.__closure__[kernel.__code__.co_freevars.index("salt")] \
+            .cell_contents = 2
+    else:
+        multi.interconnect = replace(
+            multi.interconnect,
+            latency_cycles=2 * multi.interconnect.latency_cycles)
+    relaunch = _run_mg(runtime, kernel, grid, block, n_total)
+    fresh = MultiCuda(MultiGpu(mini_gpu, interconnect=multi.interconnect),
+                      n_devices=n_devices)
+    ref = _run_mg(fresh, kernel, grid, block, n_total)
+
+    assert _mg_outcome_bytes(relaunch) != _mg_outcome_bytes(first), \
+        f"seed {seed}: the {change} change did not alter the launch"
+    assert _mg_outcome_bytes(relaunch) == _mg_outcome_bytes(ref), \
+        f"seed {seed}: relaunch after a {change} change diverged"
 
 
 # -------------------------- OpenMP programs -------------------------- #

@@ -1,6 +1,5 @@
 """The JIT-style dispatch layer: cache accounting, invalidation,
-isolation, tier byte-identity, the persistent worker pool, and the
-bench ``--compare`` diff.
+isolation, tier byte-identity, and the bench ``--compare`` diff.
 
 The differential-fuzz harness (``test_differential_fuzz.py``) pins
 byte-identity over random programs; this suite pins the dispatcher's
@@ -11,9 +10,7 @@ invalidates it, and how every degradation path falls back.
 from __future__ import annotations
 
 import dataclasses
-import signal
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -438,108 +435,6 @@ class TestOmpReplay:
 
 
 # --------------------------------------------------------------------- #
-# Persistent worker pool
-# --------------------------------------------------------------------- #
-
-
-def pool_kernel(t):
-    value = yield t.global_read("a", t.global_id)
-    yield t.alu(1)
-    yield t.global_write("b", t.global_id, value * 5)
-
-
-def _make_locked_kernel(lock):
-    def kernel(t):
-        _ = lock  # unpicklable closure cell: unshippable to the pool
-        yield t.global_write("b", t.global_id, 9)
-    return kernel
-
-
-GRID = LaunchConfig(4, 64)
-GN = 4 * 64
-
-
-def _pool_memory(seed: int = 0) -> dict[str, np.ndarray]:
-    return {"a": (np.arange(GN, dtype=np.int64) + seed) % 97,
-            "b": np.zeros(GN, dtype=np.int64)}
-
-
-class TestWorkerPool:
-    def test_pool_byte_identical_and_reused(self, mini_gpu):
-        cuda = Cuda(mini_gpu)
-        with dispatch_disabled():
-            serial = _pool_memory()
-            s = cuda.launch(pool_kernel, GRID, serial)
-            fanned = _pool_memory()
-            f = cuda.launch(pool_kernel, GRID, fanned, block_jobs=2)
-            assert _snapshot(serial) == _snapshot(fanned)
-            assert s.block_cycles == f.block_cycles
-            assert s.stats == f.stats
-            spawned = counter_value("interp.cuda.pool.spawned")
-            merged = counter_value("interp.cuda.fork.forked")
-            for seed in range(1, 4):
-                cuda.launch(pool_kernel, GRID, _pool_memory(seed),
-                            block_jobs=2)
-            assert counter_value("interp.cuda.pool.spawned") == spawned, \
-                "workers must be reused, not respawned per launch"
-            assert counter_value("interp.cuda.fork.forked") == merged + 3
-
-    def test_unshippable_state_falls_back_serially(self, mini_gpu):
-        kernel = _make_locked_kernel(threading.Lock())
-        cuda = Cuda(mini_gpu)
-        before = _counters("interp.cuda.fork.fallbacks",
-                           "interp.cuda.fork.forked")
-        memory = _pool_memory()
-        cuda.launch(kernel, GRID, memory, block_jobs=2)
-        d = _deltas(before)
-        assert d["interp.cuda.fork.fallbacks"] == 1
-        assert d["interp.cuda.fork.forked"] == 0
-        assert np.all(memory["b"] == 9)
-
-    def test_dead_workers_fall_back_then_respawn(self, mini_gpu):
-        from repro.cuda.parallel import POOL
-        cuda = Cuda(mini_gpu)
-        with dispatch_disabled():
-            cuda.launch(pool_kernel, GRID, _pool_memory(),
-                        block_jobs=2)  # ensure workers exist
-            import os
-            for worker in list(POOL._workers):
-                os.kill(worker.pid, signal.SIGKILL)
-            time.sleep(0.05)
-            before = _counters("interp.cuda.fork.fallbacks")
-            memory = _pool_memory(7)
-            cuda.launch(pool_kernel, GRID, memory, block_jobs=2)
-            assert _deltas(before)["interp.cuda.fork.fallbacks"] == 1
-            reference = _pool_memory(7)
-            with dispatch_disabled():
-                Cuda(mini_gpu, fast=False).launch(pool_kernel, GRID,
-                                                  reference)
-            assert _snapshot(memory) == _snapshot(reference)
-            # The next fan-out replaces the dead workers and merges.
-            before = _counters("interp.cuda.fork.forked")
-            cuda.launch(pool_kernel, GRID, _pool_memory(8),
-                        block_jobs=2)
-            assert _deltas(before)["interp.cuda.fork.forked"] == 1
-
-    def test_fork_per_launch_context_spawns_fresh_workers(self,
-                                                          mini_gpu):
-        from repro.cuda.parallel import fork_per_launch
-        cuda = Cuda(mini_gpu)
-        with dispatch_disabled():
-            cuda.launch(pool_kernel, GRID, _pool_memory(),
-                        block_jobs=2)
-            spawned = counter_value("interp.cuda.pool.spawned")
-            with fork_per_launch():
-                memory = _pool_memory(3)
-                cuda.launch(pool_kernel, GRID, memory, block_jobs=2)
-            assert counter_value("interp.cuda.pool.spawned") > spawned
-            reference = _pool_memory(3)
-            Cuda(mini_gpu, fast=False).launch(pool_kernel, GRID,
-                                              reference)
-            assert _snapshot(memory) == _snapshot(reference)
-
-
-# --------------------------------------------------------------------- #
 # bench --compare
 # --------------------------------------------------------------------- #
 
@@ -751,147 +646,3 @@ class TestShapeKeys:
             before = _counters("dispatch.shape_hit")
             cuda.launch(guarded_kernel, LC, _memory(1))
             assert _deltas(before)["dispatch.shape_hit"] == 1
-
-
-# --------------------------------------------------------------------- #
-# On-disk plan store (tier 2)
-# --------------------------------------------------------------------- #
-
-
-class TestPlanStore:
-    def _digest(self, n: int) -> bytes:
-        return bytes([n]) * 16
-
-    def test_round_trip(self, tmp_path):
-        from repro.compiler.store import PlanStore
-        store = PlanStore(tmp_path)
-        assert store.save(self._digest(1), [1, 2, 3])
-        assert store.load(self._digest(1)) == [1, 2, 3]
-
-    def test_missing_digest_is_a_miss(self, tmp_path):
-        from repro.compiler.store import PlanStore
-        before = _counters("dispatch.disk_miss")
-        assert PlanStore(tmp_path).load(self._digest(2)) is None
-        assert _deltas(before)["dispatch.disk_miss"] == 1
-
-    def test_corruption_reads_as_miss(self, tmp_path):
-        from repro.compiler.store import PlanStore
-        store = PlanStore(tmp_path)
-        store.save(self._digest(3), ["plans"])
-        path, = tmp_path.glob("*.plan")
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF  # flip one payload byte: checksum must catch
-        path.write_bytes(bytes(blob))
-        before = _counters("dispatch.disk_corrupt")
-        assert store.load(self._digest(3)) is None
-        assert _deltas(before)["dispatch.disk_corrupt"] == 1
-
-    def test_truncated_entry_reads_as_miss(self, tmp_path):
-        from repro.compiler.store import PlanStore
-        store = PlanStore(tmp_path)
-        store.save(self._digest(4), ["plans"])
-        path, = tmp_path.glob("*.plan")
-        path.write_bytes(path.read_bytes()[:10])  # torn write
-        assert store.load(self._digest(4)) is None
-
-    def test_eviction_bounds_the_store(self, tmp_path):
-        from repro.compiler.store import PlanStore
-        store = PlanStore(tmp_path, max_entries=2)
-        before = _counters("cache.evictions")
-        for n in range(4):
-            store.save(self._digest(n), [n])
-        assert store.entries() <= 2
-        assert _deltas(before)["cache.evictions"] >= 2
-
-    def test_cold_dispatcher_warms_from_disk(self, mini_gpu, tmp_path,
-                                             monkeypatch):
-        from repro.compiler.store import PlanStore
-        fresh = Dispatcher()
-        fresh.plan_store = PlanStore(tmp_path)
-        monkeypatch.setattr(dmod, "DISPATCHER", fresh)
-        cuda = Cuda(mini_gpu)
-        before = _counters("dispatch.disk_write")
-        cuda.launch(steady_kernel, LC, _memory(0))
-        assert _deltas(before)["dispatch.disk_write"] == 1
-
-        fresh.clear()  # simulate a cold process with a warm disk
-        before = _counters("dispatch.disk_hit", "dispatch.compile")
-        warm = _memory(1)
-        cuda.launch(steady_kernel, LC, warm)
-        d = _deltas(before)
-        assert d["dispatch.disk_hit"] == 1
-        assert d["dispatch.compile"] == 0, "plans came from disk"
-        ref = _memory(1)
-        Cuda(mini_gpu, fast=False).launch(steady_kernel, LC, ref)
-        assert _snapshot(warm) == _snapshot(ref)
-
-    def test_corrupt_disk_entry_forces_recapture(self, mini_gpu,
-                                                 tmp_path, monkeypatch):
-        from repro.compiler.store import PlanStore
-        fresh = Dispatcher()
-        fresh.plan_store = PlanStore(tmp_path)
-        monkeypatch.setattr(dmod, "DISPATCHER", fresh)
-        cuda = Cuda(mini_gpu)
-        cuda.launch(steady_kernel, LC, _memory(0))
-        for path in tmp_path.glob("*.plan"):
-            path.write_bytes(b"debris")
-        fresh.clear()
-        before = _counters("dispatch.compile", "dispatch.disk_hit")
-        warm = _memory(1)
-        cuda.launch(steady_kernel, LC, warm)
-        d = _deltas(before)
-        assert d["dispatch.disk_hit"] == 0
-        assert d["dispatch.compile"] == 1
-        ref = _memory(1)
-        Cuda(mini_gpu, fast=False).launch(steady_kernel, LC, ref)
-        assert _snapshot(warm) == _snapshot(ref)
-
-
-# --------------------------------------------------------------------- #
-# Pool plan shipping
-# --------------------------------------------------------------------- #
-
-
-class TestPoolPlanShipping:
-    def test_plans_replay_in_the_pool_byte_identically(self, mini_gpu):
-        DISPATCHER.clear()
-        cuda = Cuda(mini_gpu)
-        cuda.launch(pool_kernel, GRID, _pool_memory(0), block_jobs=2)
-        before = _counters("interp.cuda.pool.plan_jobs",
-                           "dispatch.shape_hit")
-        fast = _pool_memory(1)  # fresh content: plans, not replay
-        f = cuda.launch(pool_kernel, GRID, fast, block_jobs=2)
-        d = _deltas(before)
-        assert d["interp.cuda.pool.plan_jobs"] >= 1
-        assert d["dispatch.shape_hit"] == 1
-        ref = _pool_memory(1)
-        r = Cuda(mini_gpu, fast=False).launch(pool_kernel, GRID, ref)
-        assert _snapshot(fast) == _snapshot(ref)
-        assert f.elapsed_cycles == r.elapsed_cycles
-        assert f.block_cycles == r.block_cycles
-        assert f.stats == r.stats
-
-    def test_dead_workers_fall_back_then_reship(self, mini_gpu):
-        import os
-        from repro.cuda.parallel import POOL
-        DISPATCHER.clear()
-        cuda = Cuda(mini_gpu)
-        cuda.launch(pool_kernel, GRID, _pool_memory(0), block_jobs=2)
-        for worker in list(POOL._workers):
-            os.kill(worker.pid, signal.SIGKILL)
-        time.sleep(0.05)
-        # The dead pool is detected and the launch still answers
-        # correctly through the serial plan path.
-        dead = _pool_memory(5)
-        cuda.launch(pool_kernel, GRID, dead, block_jobs=2)
-        ref = _pool_memory(5)
-        Cuda(mini_gpu, fast=False).launch(pool_kernel, GRID, ref)
-        assert _snapshot(dead) == _snapshot(ref)
-        # The next fan-out gets fresh workers and re-ships the plans.
-        before = _counters("interp.cuda.pool.plan_jobs")
-        again = _pool_memory(6)
-        cuda.launch(pool_kernel, GRID, again, block_jobs=2)
-        assert _deltas(before)["interp.cuda.pool.plan_jobs"] >= 1
-        ref = _pool_memory(6)
-        Cuda(mini_gpu, fast=False).launch(pool_kernel, GRID, ref)
-        assert _snapshot(again) == _snapshot(ref)

@@ -7,9 +7,14 @@ fails on any undocumented public surface.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
+import subprocess
+import sys
 
 import repro
 
@@ -65,33 +70,55 @@ def test_public_methods_documented():
     assert not undocumented, undocumented
 
 
-def test_every_counter_is_in_the_observability_doc():
-    """docs/observability.md names every counter the library registers.
-
-    The registry is read in a fresh interpreter that imports every
-    module (tests register ad-hoc counters of their own); names the
-    code builds at run time are covered by a documented
-    ``prefix.<placeholder>`` pattern.
-    """
-    import pathlib
-    import re
-    import subprocess
-    import sys
-
+@functools.lru_cache(maxsize=None)
+def _registered_counters() -> tuple[str, ...]:
+    """Every counter the library registers, read in a fresh interpreter
+    that imports every module (tests register ad-hoc counters of their
+    own)."""
     probe = (
         "import importlib, pkgutil, repro\n"
         "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
         "    importlib.import_module(m.name)\n"
         "from repro.obs.metrics import REGISTRY\n"
         "print('\\n'.join(REGISTRY.counters()))\n")
-    names = subprocess.run([sys.executable, "-c", probe], check=True,
-                           capture_output=True, text=True).stdout.split()
+    return tuple(subprocess.run([sys.executable, "-c", probe], check=True,
+                                capture_output=True, text=True).stdout.split())
+
+
+def _observability_doc() -> str:
+    return (pathlib.Path(__file__).resolve().parents[1] / "docs"
+            / "observability.md").read_text()
+
+
+def test_every_counter_is_in_the_observability_doc():
+    """docs/observability.md names every counter the library registers.
+
+    Names the code builds at run time are covered by a documented
+    ``prefix.<placeholder>`` pattern.
+    """
+    names = _registered_counters()
     assert "dispatch.fallback.capture" in names
-    doc = (pathlib.Path(__file__).resolve().parents[1] / "docs"
-           / "observability.md").read_text()
+    doc = _observability_doc()
     documented = set(re.findall(r"`([a-z0-9_.]+)`", doc))
     patterns = [re.compile(re.escape(prefix) + r"[A-Za-z0-9_]+$")
                 for prefix in re.findall(r"`([a-z0-9_.]+\.)<[a-z]+>`", doc)]
     missing = [name for name in names if name not in documented
                and not any(p.match(name) for p in patterns)]
     assert not missing, missing
+
+
+def test_every_documented_counter_is_registered():
+    """Every counter a row of the observability doc's counter catalog
+    names (its first column) is one the library registers, so a row for
+    a deleted counter cannot linger."""
+    doc = _observability_doc()
+    section = doc.split("## Counter catalog", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines()
+            if line.startswith("| `")]
+    assert len(rows) > 30
+    named = [name for row in rows
+             for name in re.findall(r"`([a-z0-9_.]+)`",
+                                    row.split("|")[1])]
+    registered = set(_registered_counters())
+    stale = [name for name in named if name not in registered]
+    assert not stale, stale

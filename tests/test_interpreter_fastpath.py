@@ -255,73 +255,6 @@ class TestCudaWorkloads:
         _assert_outcomes_equal(fast, ref)
 
 
-class TestParallelBlocks:
-    def _launch(self, device, block_jobs, kernel=None, trace=True):
-        n, bt = 8 * 32, 32
-        data = (np.arange(n, dtype=np.int64) * 7919) % 1000
-
-        def scan_kernel(t):
-            base = t.blockIdx * t.blockDim
-            i = t.threadIdx
-            v = yield t.global_read("data", base + i)
-            yield t.shared_write("buf", i, v)
-            offset = 1
-            while offset < bt:
-                yield t.syncthreads()
-                addend = 0
-                if offset <= i:
-                    addend = yield t.shared_read("buf", i - offset)
-                yield t.syncthreads()
-                if offset <= i:
-                    mine = yield t.shared_read("buf", i)
-                    yield t.shared_write("buf", i, mine + addend)
-                offset *= 2
-            v = yield t.shared_read("buf", i)
-            yield t.global_write("out", base + i, v)
-
-        cuda = Cuda(device, fast=True)
-        out = np.zeros(n, np.int64)
-        result = cuda.launch(kernel or scan_kernel, LaunchConfig(n // bt, bt),
-                             globals_={"data": data, "out": out},
-                             shared_decls={"buf": (bt, np.dtype(np.int64))},
-                             trace=trace, block_jobs=block_jobs)
-        return result
-
-    def test_parallel_blocks_byte_identical(self, mini_gpu):
-        """Fanning disjoint blocks over workers must leave no trace in
-        the result: memory, cycles, stats and timeline all identical."""
-        serial = self._launch(mini_gpu, block_jobs=1)
-        forked = self._launch(mini_gpu, block_jobs=2)
-        _assert_launches_equal(forked, serial)
-
-    def test_parallel_blocks_matches_reference_path(self, mini_gpu):
-        forked = self._launch(mini_gpu, block_jobs=2, trace=False)
-        with reference_engine():
-            ref = self._launch(mini_gpu, block_jobs=2, trace=False)
-        _assert_launches_equal(forked, ref)
-
-    def test_overlapping_blocks_fall_back_to_serial(self, mini_gpu):
-        """Blocks sharing an atomic counter fail the disjointness check;
-        the launch silently re-runs serially and still matches."""
-        def colliding(t):
-            yield t.atomic_add("acc", 0, 1)
-            yield t.global_write("out", t.global_id, t.blockIdx)
-
-        def run(block_jobs):
-            acc = np.zeros(1, np.int64)
-            out = np.zeros(64, np.int64)
-            result = Cuda(mini_gpu, fast=True).launch(
-                colliding, LaunchConfig(2, 32),
-                globals_={"acc": acc, "out": out},
-                block_jobs=block_jobs)
-            return result, acc
-
-        serial, acc_s = run(1)
-        forked, acc_f = run(2)
-        assert acc_f[0] == acc_s[0] == 64
-        _assert_launches_equal(forked, serial)
-
-
 def _parallel_both(machine, body, make_shared, n_threads=4, trace=True,
                    **omp_kw):
     """Run one region on the fast and reference OpenMP paths, compare

@@ -6,16 +6,13 @@ import http.client
 import json
 import os
 
-import numpy as np
 import pytest
 
-from repro.cuda.interpreter import Cuda
 from repro.faults.process import ProcessFaultPlan
-from repro.gpu.spec import LaunchConfig
-from repro.obs.context import TraceContext, current_context, trace_roles, use_context
+from repro.obs.context import TraceContext, current_context, trace_roles
 from repro.obs.hist import LatencyHistogram
 from repro.obs.metrics import counters_delta, counters_snapshot
-from repro.obs.recorder import Recorder, get_recorder, recording
+from repro.obs.recorder import get_recorder
 from repro.service.core import MeasurementService, ServiceConfig
 from repro.service.daemon import LATENCY_SERIES, ServiceDaemon
 from repro.service.loadgen import LoadGenerator, request_mix
@@ -59,8 +56,8 @@ class TestInlineAttribution:
         assert response["status"] == "served"
         attribution = response["attribution"]
         assert attribution["serving"] == "measured"
-        assert attribution["tier"] in ("replay", "shape", "disk",
-                                       "lift", "interpret")
+        assert attribution["tier"] in ("replay", "shape", "lift",
+                                       "interpret")
         assert attribution["worker_pid"] == os.getpid()
         assert attribution["attempts"] == 1
         assert attribution["retries"] == 0
@@ -256,53 +253,6 @@ class TestWorkerJobFrames:
         assert reply["error"] == "ConfigurationError"
         assert reply["pid"] == os.getpid()
         assert current_context() is None
-
-
-class TestCudaPoolTracing:
-    """The persistent block pool ships pool-role spans upward."""
-
-    def _launch(self, device) -> None:
-        from repro.compiler.dispatcher import dispatch_disabled
-
-        def kernel(t):
-            v = yield t.global_read("data", t.global_id)
-            yield t.global_write("out", t.global_id, v + 1)
-
-        data = np.arange(128, dtype=np.int64)
-        out = np.zeros(128, np.int64)
-        with dispatch_disabled():
-            Cuda(device, detect_races=False).launch(
-                kernel, LaunchConfig(4, 32),
-                globals_={"data": data, "out": out}, block_jobs=2)
-        np.testing.assert_array_equal(out, data + 1)
-
-    def _pool_spans(self, device) -> list[dict]:
-        rec = Recorder()
-        with recording(rec), use_context(TraceContext.new()):
-            self._launch(device)
-        return [record for record in rec.spans()
-                if record.get("remote")
-                and record.get("role") == "pool"]
-
-    def test_pool_chunks_stitch_into_the_parent(self, mini_gpu):
-        remote = self._pool_spans(mini_gpu)
-        assert remote, "pool fan-out shipped no spans"
-        assert {record["name"] for record in remote} == \
-            {"cuda.pool.chunk"}
-        assert all(record["pid"] != os.getpid() for record in remote)
-
-    def test_respawned_pool_still_ships_spans(self, mini_gpu):
-        from repro.cuda.parallel import POOL
-        assert self._pool_spans(mini_gpu)
-        POOL.shutdown()
-        assert self._pool_spans(mini_gpu)
-
-    def test_untraced_launch_ships_nothing(self, mini_gpu):
-        rec = Recorder()
-        with recording(rec):  # recorder but no context: no shipping
-            self._launch(mini_gpu)
-        assert not [record for record in rec.spans()
-                    if record.get("remote")]
 
 
 @pytest.fixture()
