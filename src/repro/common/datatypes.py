@@ -68,3 +68,12 @@ def dtype_by_name(name: str) -> DataType:
             return dt
     raise KeyError(f"unknown data type {name!r}; expected one of "
                    f"{[d.name for d in DTYPES]}")
+
+
+_BY_NP_DTYPE: dict[np.dtype, DataType] = {dt.np_dtype: dt for dt in DTYPES}
+
+
+def dtype_of(np_dtype) -> DataType:
+    """The paper data type stored as ``np_dtype``; :data:`INT` for any
+    other numpy dtype (the cost models' default)."""
+    return _BY_NP_DTYPE.get(np.dtype(np_dtype), INT)

@@ -35,12 +35,14 @@ of that bet:
 Every replayed effect reproduces the exact numpy operation sequence of
 the tier it stands in for: uniform warp passes mirror
 :func:`repro.cuda.fastpath.run_block_fast` (gathers via ``take``,
-duplicate-target writes in lane order, the three atomic serialization
-modes), and mixed-class passes mirror the reference pass semantics of
-:meth:`repro.cuda.interpreter.Cuda._process_gathered` (per-lane scalar
-effects, per-group costs, divergence penalties).  Plan execution is
-therefore byte-identical to the fast tier — which is itself pinned
-byte-identical to the scalar reference by the differential-fuzz harness.
+duplicate-target writes in lane order, atomic groups through the
+request table's applier :func:`repro.cuda.requests.apply_atomics` in
+the mode it chooses), and mixed-class passes mirror the reference pass
+semantics of :meth:`repro.cuda.interpreter.Cuda._process_gathered`
+(per-lane scalar effects, per-group costs, divergence penalties).
+Plan execution is therefore byte-identical to the fast tier — which is
+itself pinned byte-identical to the scalar reference by the
+differential-fuzz harness.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ import types
 from dataclasses import fields as _dc_fields
 
 import numpy as np
+
+from repro.cuda.requests import apply_atomics
 
 
 class CaptureEscape(Exception):
@@ -967,112 +971,18 @@ class BlockPlan:
                     # stores): lane order decides the survivor.
                     for i, v in zip(idx.tolist(), values):
                         flat[i] = v
-            else:  # "a": atomic
-                self._execute_atomic(eff, env, flat_of, b)
+            else:  # "a": atomic group, via the request table's applier
+                (_, cls, in_shared, var, base, coeff, slot, vspec, cspec,
+                 mode) = eff
+                env[slot] = apply_atomics(
+                    cls, flat_of(in_shared, var),
+                    base if coeff is None else base + coeff * b,
+                    _eval_spec(vspec, env, b),
+                    None if cspec is None else _eval_spec(cspec, env, b),
+                    mode)
         for name, delta in self.stats:
             setattr(stats, name, getattr(stats, name) + delta)
         return self.cycles
-
-    @staticmethod
-    def _execute_atomic(eff, env, flat_of, b: int) -> None:
-        (_, token, in_shared, var, base, coeff, slot, vspec, cspec,
-         mode) = eff
-        flat = flat_of(in_shared, var)
-        idx_np = base if coeff is None else base + coeff * b
-        values = _eval_spec(vspec, env, b)
-        if mode == "d":
-            # All-distinct targets: gather, vectorized update, scatter.
-            old_arr = flat[idx_np]
-            olds = old_arr.tolist()
-            if token == "cas":
-                varr = np.asarray(values)
-                carr = np.asarray(_eval_spec(cspec, env, b))
-                new = np.where(old_arr == carr, varr, old_arr)
-            elif token == "exch":
-                new = np.asarray(values)
-            else:
-                varr = np.asarray(values)
-                if token == "add":
-                    new = old_arr + varr
-                elif token == "sub":
-                    new = old_arr - varr
-                elif token == "max":
-                    new = np.maximum(old_arr, varr)
-                elif token == "min":
-                    new = np.minimum(old_arr, varr)
-                elif token == "and":
-                    new = old_arr & varr
-                elif token == "or":
-                    new = old_arr | varr
-                elif token == "xor":
-                    new = old_arr ^ varr
-                elif token == "inc":
-                    new = np.where(old_arr >= varr, 0, old_arr + 1)
-                else:  # dec
-                    new = np.where((old_arr == 0) | (old_arr > varr),
-                                   varr, old_arr - 1)
-            flat[idx_np] = new
-            env[slot] = olds
-            return
-        idx_list = idx_np.tolist()
-        if mode == "i":
-            # Colliding integer add/sub: one load/store per address.
-            running: dict[int, int] = {}
-            get = running.get
-            olds = []
-            if token == "add":
-                for i, v in zip(idx_list, values):
-                    old = get(i)
-                    if old is None:
-                        old = flat[i].item()
-                    olds.append(old)
-                    running[i] = old + v
-            else:
-                for i, v in zip(idx_list, values):
-                    old = get(i)
-                    if old is None:
-                        old = flat[i].item()
-                    olds.append(old)
-                    running[i] = old - v
-            for i, value in running.items():
-                flat[i] = value
-            env[slot] = olds
-        else:
-            # Colliding targets (or a mixed pass): lane order is the
-            # serialization order.
-            olds = []
-            if token == "cas":
-                compares = _eval_spec(cspec, env, b)
-                for i, v, c in zip(idx_list, values, compares):
-                    old = flat[i].item()
-                    olds.append(old)
-                    if old == c:
-                        flat[i] = v
-            else:
-                for i, v in zip(idx_list, values):
-                    old = flat[i].item()
-                    olds.append(old)
-                    if token == "add":
-                        flat[i] = old + v
-                    elif token == "sub":
-                        flat[i] = old - v
-                    elif token == "max":
-                        flat[i] = max(old, v)
-                    elif token == "min":
-                        flat[i] = min(old, v)
-                    elif token == "and":
-                        flat[i] = old & v
-                    elif token == "or":
-                        flat[i] = old | v
-                    elif token == "xor":
-                        flat[i] = old ^ v
-                    elif token == "inc":
-                        flat[i] = 0 if old >= v else old + 1
-                    elif token == "dec":
-                        flat[i] = v if (old == 0 or old > v) else old - 1
-                    else:  # exch
-                        flat[i] = v
-            env[slot] = olds
 
 
 # --------------------------------------------------------------------- #
@@ -1099,22 +1009,13 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
             of bounds, or exceeds ``step_cap``/:data:`EFFECT_CAP` — the
             caller falls back to the ordinary fast tier.
     """
-    from repro.common.datatypes import DOUBLE, DTYPES, INT
-    from repro.compiler.ops import Op, PrimitiveKind, Scope
+    from repro.common.datatypes import DOUBLE, INT
+    from repro.common.errors import SimulationError
+    from repro.compiler.ops import Scope
     from repro.cuda import requests as rq
     from repro.cuda.interpreter import (
-        _ATOMIC_KIND_OF, _BARRIER_KIND_OF, _COLLECTIVE_KIND_OF,
-        _FENCE_KIND_OF, Cuda, KernelThread, LaunchStats, _Lane,
-        _LaneState)
-    from repro.gpu.spec import WARP_SIZE
-    from repro.mem.layout import SharedScalar
+        Cuda, LaunchStats, Prices, _LaneState, active_mask, start_block)
 
-    _ATOMIC_TOKEN = {
-        rq.AtomicAdd: "add", rq.AtomicSub: "sub", rq.AtomicMax: "max",
-        rq.AtomicMin: "min", rq.AtomicAnd: "and", rq.AtomicOr: "or",
-        rq.AtomicXor: "xor", rq.AtomicInc: "inc", rq.AtomicDec: "dec",
-        rq.AtomicCas: "cas", rq.AtomicExch: "exch",
-    }
     _READS = {rq.GlobalRead: False, rq.SharedRead: True}
     _WRITES = {rq.GlobalWrite: False, rq.SharedWrite: True}
 
@@ -1134,20 +1035,10 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
     n_slots = 0
     steps_total = 0
 
-    n = launch.block_threads
-    block_sym = BlockAffine(0, 1, guard)
-    warps: list[list] = []
-    for wstart in range(0, n, WARP_SIZE):
-        lanes = []
-        for t in range(wstart, min(wstart + WARP_SIZE, n)):
-            kt = KernelThread(t, block_sym, n, launch.grid_blocks)
-            lanes.append(_Lane(gen=symbolic_kernel(kt), lane_id=t - wstart))
-        warps.append(lanes)
+    warps = start_block(symbolic_kernel, launch, BlockAffine(0, 1, guard))
+    prices = Prices(device, ctx, launch)
     warp_clocks = [0.0] * len(warps)
     issuing_warps: dict[tuple, set[int]] = {}
-    resident_blocks = min(
-        launch.grid_blocks,
-        ctx.occ.active_sms * ctx.occ.blocks_per_sm_resident)
 
     RUNNING = _LaneState.RUNNING
     DONE = _LaneState.DONE
@@ -1157,37 +1048,6 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
     total_lanes = sum(len(lanes) for lanes in warps)
     done_lanes = 0
     barrier_waiting = False
-
-    op_cost_cache: dict = {}
-    atomic_cost_cache: dict = {}
-
-    def op_cost(kind, dtype=None) -> float:
-        key = (kind, dtype)
-        c = op_cost_cache.get(key)
-        if c is None:
-            op = Op(kind=kind) if dtype is None \
-                else Op(kind=kind, dtype=dtype)
-            c = device.op_cost(op, ctx)
-            op_cost_cache[key] = c
-        return c
-
-    def atomic_cost(kind, np_dtype, scope, n_addresses, n_lanes,
-                    n_warps) -> float:
-        key = (kind, np_dtype, scope, n_addresses, n_lanes, n_warps)
-        c = atomic_cost_cache.get(key)
-        if c is None:
-            dtype = INT
-            for dt in DTYPES:
-                if dt.np_dtype == np_dtype:
-                    dtype = dt
-                    break
-            op = Op(kind=kind, dtype=dtype, target=SharedScalar(dtype),
-                    scope=scope)
-            c = device.atomic_issue_cost(
-                op, ctx, n_addresses=n_addresses, n_lanes=n_lanes,
-                issuing_warps=n_warps, resident_blocks=resident_blocks)
-            atomic_cost_cache[key] = c
-        return c
 
     def new_slot() -> int:
         nonlocal n_slots
@@ -1318,32 +1178,27 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
             return u_write(reqs, _WRITES[cls])
         if cls is rq.Syncwarp:
             stats.syncwarps += len(reqs)
-            return op_cost(PrimitiveKind.SYNCWARP)
+            return prices.op(cls.kind)
         if cls is rq.Threadfence:
             stats.fences += len(reqs)
-            cost = 0.0
-            for r in reqs:
-                c = op_cost(_FENCE_KIND_OF[r.scope])
-                if c > cost:
-                    cost = c
-            return cost
+            return max([prices.op(r.kind) for r in reqs])
         if cls is rq.Activemask:
             mask = active_mask(lanes)
             for lane in glanes:
                 lane.pending = mask
             return alu_cycles
-        if cls in _BARRIER_KIND_OF:
+        if cls in rq.BARRIERS:
             for lane, r in zip(glanes, reqs):
                 lane.state = BARRIER
                 lane.barrier_request = r
             barrier_waiting = True
             return 0.0
-        if cls in _COLLECTIVE_KIND_OF:
+        if cls in rq.COLLECTIVES:
             for lane, r in zip(glanes, reqs):
                 lane.state = COLLECTIVE
                 lane.collective = r
             return 0.0
-        if cls in _ATOMIC_TOKEN:
+        if cls in rq.ATOMICS:
             first = reqs[0]
             var, scope = first.var, first.scope
             for r in reqs:
@@ -1353,18 +1208,11 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
                                  serial=False)
         return None
 
-    def active_mask(lanes) -> int:
-        mask = 0
-        for other in lanes:
-            if other.state is not DONE:
-                mask |= 1 << other.lane_id
-        return mask
-
     def record_atomic(warp_id, glanes, reqs, cls, var, scope,
                       serial: bool) -> float:
         """One atomic group, in lane order.  ``serial`` (a mixed pass)
-        replays the reference's scalar loop; otherwise the fast tier's
-        serialization mode for the observed collision pattern."""
+        replays the reference's scalar loop; otherwise the applier's
+        mode for the observed collision pattern, as the fast tier."""
         in_shared = var in shared_info
         size, dtype = declared(var, shared_info if in_shared else mem_info)
         bases, coeffs = affine_indices(reqs, size)
@@ -1377,27 +1225,19 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
         else:
             stats.global_atomics += n_lanes
         n_addresses = len(set(idx))
-        token = _ATOMIC_TOKEN[cls]
-        if serial:
-            mode = "s"
-        elif n_addresses == n_lanes:
-            mode = "d"
-        elif token in ("add", "sub") and dtype.kind in "iu":
-            mode = "i"
-        else:
-            mode = "s"
+        mode = "s" if serial \
+            else rq.atomic_mode(cls, dtype, n_lanes, n_addresses)
         vspec = _value_spec([r.value for r in reqs])
         cspec = _value_spec([r.compare for r in reqs]) \
             if cls is rq.AtomicCas else None
         slot = new_slot()
-        effects.append(("a", token, in_shared, var,
+        effects.append(("a", cls, in_shared, var,
                         *encode(bases, coeffs), slot, vspec, cspec, mode))
         bind_results(glanes, slot, dtype)
-        kind = _ATOMIC_KIND_OF[cls]
-        seen = issuing_warps.setdefault((kind, var), set())
+        seen = issuing_warps.setdefault((cls.kind, var), set())
         seen.add(warp_id)
-        return atomic_cost(kind, dtype, effective_scope, n_addresses,
-                           n_lanes, len(seen))
+        return prices.atomic(cls.kind, dtype, effective_scope, n_addresses,
+                             n_lanes, len(seen))
 
     # -------------------------- mixed passes -------------------------- #
 
@@ -1408,10 +1248,10 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
             return alu_cycles * r.n
         if cls is rq.Syncwarp:
             stats.syncwarps += 1
-            return op_cost(PrimitiveKind.SYNCWARP)
+            return prices.op(r.kind)
         if cls is rq.Threadfence:
             stats.fences += 1
-            return op_cost(_FENCE_KIND_OF[r.scope])
+            return prices.op(r.kind)
         is_read = cls in _READS
         if not is_read and cls not in _WRITES:
             raise CaptureEscape(f"unsupported request {cls.__name__} in "
@@ -1482,26 +1322,14 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
     def maybe_collective(lanes):
         """Mirror of ``Cuda._maybe_run_collective``; returns the cost or
         None when no collective is ready."""
-        participants = []
-        still_running = False
-        blocked_elsewhere = False
-        for lane in lanes:
-            state = lane.state
-            if state is COLLECTIVE:
-                participants.append(lane)
-            elif state is RUNNING:
-                still_running = True
-            else:
-                blocked_elsewhere = True
-        if not participants or still_running:
+        try:
+            participants = Cuda._ready_collective(lanes)
+        except SimulationError as exc:
+            raise CaptureEscape(str(exc)) from None
+        if participants is None:
             return None
-        if blocked_elsewhere:
-            raise CaptureEscape("divergent warp collective")
         first = participants[0].collective
         cls = first.__class__
-        for lane in participants:
-            if lane.collective.__class__ is not cls:
-                raise CaptureEscape("mixed warp collectives")
         stats.collectives += len(participants)
         if cls is rq.ReduceMaxSync and any(
                 type(lane.collective.value) is Sym
@@ -1521,8 +1349,7 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
             is_float = value.kind == "f"
         else:
             is_float = isinstance(value, float)
-        cost = op_cost(_COLLECTIVE_KIND_OF[cls],
-                       DOUBLE if is_float else INT)
+        cost = prices.op(cls.kind, DOUBLE if is_float else INT)
         for lane in participants:
             lane.state = RUNNING
             lane.collective = None
@@ -1574,35 +1401,12 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
             if cost > 0:
                 warp_clocks[warp_id] += cost
         if barrier_waiting:
-            waiting = []
-            n_live = 0
-            n_total = 0
-            for lanes in warps:
-                for lane in lanes:
-                    n_total += 1
-                    state = lane.state
-                    if state is BARRIER:
-                        waiting.append(lane)
-                        n_live += 1
-                    elif state is not DONE:
-                        n_live += 1
-            if waiting and len(waiting) == n_live:
-                if n_live < n_total:
-                    raise CaptureEscape("barrier with returned threads")
-                variant = waiting[0].barrier_request.__class__
-                for lane in waiting:
-                    if lane.barrier_request.__class__ is not variant:
-                        raise CaptureEscape("mixed barrier variants")
-                stats.syncthreads += 1
-                sync_time = max(warp_clocks) \
-                    + op_cost(_BARRIER_KIND_OF[variant])
-                for w in range(len(warp_clocks)):
-                    warp_clocks[w] = sync_time
-                result = Cuda._barrier_value(variant, waiting)
-                for lane in waiting:
-                    lane.state = RUNNING
-                    lane.pending = result
-                    lane.barrier_request = None
+            try:
+                released = cuda._maybe_release_barrier(
+                    warps, warp_clocks, prices, stats)
+            except SimulationError as exc:
+                raise CaptureEscape(str(exc)) from None
+            if released:
                 barrier_waiting = False
                 progressed = True
         if not progressed:
@@ -1737,7 +1541,7 @@ def capture_region_plan(omp, body,
             the batched fast tier.
     """
     from repro.compiler.ops import PrimitiveKind
-    from repro.common.datatypes import DTYPES, INT
+    from repro.common.datatypes import dtype_of
     from repro.openmp import requests as rq
     from repro.openmp.fastpath import make_cost_model
     from repro.openmp.interpreter import ThreadContext
@@ -1755,19 +1559,8 @@ def capture_region_plan(omp, body,
     ATOMIC_UPDATE = PrimitiveKind.OMP_ATOMIC_UPDATE
     ATOMIC_CAPTURE = PrimitiveKind.OMP_ATOMIC_CAPTURE
 
-    dtype_by_var: dict[str, object] = {}
-
     def var_dtype(var: str):
-        dt = dtype_by_var.get(var)
-        if dt is None:
-            dt = INT
-            np_dt = shared_info[var][1]
-            for d in DTYPES:
-                if d.np_dtype == np_dt:
-                    dt = d
-                    break
-            dtype_by_var[var] = dt
-        return dt
+        return dtype_of(shared_info[var][1])
 
     effects: list = []
     n_slots = 0

@@ -10,8 +10,10 @@ passes** as one batched operation over the whole warp:
 * per-pass cost folding happens on arrays/sets instead of per-lane
   ``max`` reductions,
 * memory traffic goes through one numpy gather/scatter instead of 32
-  scalar loads/stores,
-* atomic pricing is memoized on the observed issue pattern, and
+  scalar loads/stores, and atomics through the request table's group
+  applier (:func:`repro.cuda.requests.apply_atomics`),
+* prices are memoized per block (:class:`repro.cuda.interpreter.Prices`),
+  and
 * the ``trace``/``detector`` observability hooks are hoisted out of the
   inner loop entirely — disabled observability costs nothing.
 
@@ -22,11 +24,10 @@ stat, cost, and trace label is byte-identical to the scalar loop.  Race
 detection needs to observe every access in program order, so a launch
 with a detector delegates to the reference block runner outright.
 
-The public ``interp.cuda.uniform_passes`` counter (:mod:`repro.obs`)
-lets callers (the bench suite, CI smoke checks) assert that the batched
+The ``interp.cuda.uniform_passes`` counter (:mod:`repro.obs`) lets
+callers (the bench suite, CI smoke checks) assert that the batched
 dispatcher actually ran — and that it did *not* run while timing the
-reference path.  The module-level :data:`UNIFORM_PASSES` global is its
-backward-compatible twin.
+reference path.
 """
 
 from __future__ import annotations
@@ -34,33 +35,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.common.budget import StepBudget
-from repro.common.datatypes import DTYPES, INT
-from repro.compiler.ops import Op, PrimitiveKind, Scope
+from repro.compiler.ops import Scope
 from repro.gpu.device import GpuRunContext
-from repro.gpu.spec import WARP_SIZE, LaunchConfig
-from repro.mem.layout import SharedScalar
+from repro.gpu.spec import LaunchConfig
 from repro.cuda import requests as rq
 from repro.cuda.interpreter import (
-    _ATOMIC_KIND_OF,
-    _BARRIER_KIND_OF,
-    _COLLECTIVE_KIND_OF,
-    _FENCE_KIND_OF,
     _BlockEnv,
-    _Lane,
     _LaneState,
-    KernelThread,
     LaunchStats,
+    Prices,
+    active_mask,
+    start_block,
 )
 from repro.cuda.race import GpuRaceDetector
 from repro.cuda.trace import Trace
 from repro.obs.metrics import _SUBSCRIBER as _metric_subscriber
 from repro.obs.metrics import counter as _counter
-
-#: Uniform warp passes executed by the batched dispatcher since import.
-#: Monotonic; sample before/after a run to see whether it was used.
-#: Kept for backward compatibility — new code should read the
-#: ``interp.cuda.uniform_passes`` counter from :mod:`repro.obs` instead.
-UNIFORM_PASSES = 0
 
 # Observability counters (docs/observability.md).  Dispatch passes are
 # accumulated locally per block and flushed once at block end; the
@@ -92,29 +82,18 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
             kernel, launch, ctx, block_idx, memory, shared_decls, stats,
             budget, trace, detector)
 
-    global UNIFORM_PASSES
     params = cuda.device.params
-    device = cuda.device
     alu_cycles = params.alu_cycles
     global_load_cycles = params.global_load_cycles
     uncoalesced = params.uncoalesced_penalty_cycles
 
     shared = {name: np.zeros(size, dtype=dt)
               for name, (size, dt) in shared_decls.items()}
-    n = launch.block_threads
-    warps: list[list[_Lane]] = []
-    for wstart in range(0, n, WARP_SIZE):
-        lanes = []
-        for t in range(wstart, min(wstart + WARP_SIZE, n)):
-            kt = KernelThread(t, block_idx, n, launch.grid_blocks)
-            lanes.append(_Lane(gen=kernel(kt), lane_id=t - wstart))
-        warps.append(lanes)
+    warps = start_block(kernel, launch, block_idx)
+    prices = Prices(cuda.device, ctx, launch)
     warp_clocks = [0.0] * len(warps)
     env = _BlockEnv(block_idx=block_idx, detector=None)
-    issuing_warps: dict[tuple[PrimitiveKind, str], set[int]] = {}
-    resident_blocks = min(
-        launch.grid_blocks,
-        ctx.occ.active_sms * ctx.occ.blocks_per_sm_resident)
+    issuing_warps: dict[tuple, set[int]] = {}
 
     RUNNING = _LaneState.RUNNING
     DONE = _LaneState.DONE
@@ -131,46 +110,36 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
     global_flats: dict[str, np.ndarray] = {}
     shared_flats: dict[str, np.ndarray] = {}
 
-    def flat_of(space_flats, space, var):
+    def indices(in_shared, reqs):
+        """The pass's flat view and per-lane indices, or None when the
+        variable is undeclared, the lanes name different variables, or
+        an index is out of bounds."""
+        var = reqs[0].var
+        space_flats = shared_flats if in_shared else global_flats
         flat = space_flats.get(var)
         if flat is None:
-            arr = space.get(var)
+            arr = (shared if in_shared else memory).get(var)
             if arr is None:
                 return None
-            flat = arr.reshape(-1)
-            space_flats[var] = flat
-        return flat
+            flat = space_flats[var] = arr.reshape(-1)
+        for r in reqs:
+            if r.var != var:
+                return None
+        idx = [r.idx for r in reqs]
+        if min(idx) < 0 or max(idx) >= flat.size:
+            return None
+        return flat, idx
 
-    # Per-run cost memos: op_cost / dynamic_atomic_cost are pure in
-    # their arguments (the device model carries no RNG), so one lookup
-    # per distinct shape covers the whole block.
-    op_cost_cache: dict[object, float] = {}
-    atomic_cost_cache: dict[object, float] = {}
-
-    def op_cost(kind: PrimitiveKind) -> float:
-        c = op_cost_cache.get(kind)
-        if c is None:
-            c = device.op_cost(Op(kind=kind), ctx)
-            op_cost_cache[kind] = c
-        return c
-
-    def atomic_cost(kind: PrimitiveKind, np_dtype, scope: Scope,
-                    n_addresses: int, n_lanes: int, n_warps: int) -> float:
-        key = (kind, np_dtype, scope, n_addresses, n_lanes, n_warps)
-        c = atomic_cost_cache.get(key)
-        if c is None:
-            dtype = INT
-            for dt in DTYPES:
-                if dt.np_dtype == np_dtype:
-                    dtype = dt
-                    break
-            op = Op(kind=kind, dtype=dtype, target=SharedScalar(dtype),
-                    scope=scope)
-            c = device.atomic_issue_cost(
-                op, ctx, n_addresses=n_addresses, n_lanes=n_lanes,
-                issuing_warps=n_warps, resident_blocks=resident_blocks)
-            atomic_cost_cache[key] = c
-        return c
+    def access_cost(in_shared, flat, idx) -> float:
+        if in_shared:
+            stats.shared_accesses += len(idx)
+            return alu_cycles
+        stats.global_accesses += len(idx)
+        itemsize = flat.itemsize
+        sectors = {i * itemsize // 32 for i in idx}
+        if len(sectors) > 1:
+            return global_load_cycles + uncoalesced * (len(sectors) - 1)
+        return global_load_cycles
 
     # ------------------------- uniform handlers ------------------------ #
     # Each takes the pass's live lanes and their requests — all of one
@@ -182,105 +151,44 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
     def u_alu(glanes, reqs):
         return alu_cycles * max([r.n for r in reqs]), "Alu"
 
-    def u_global_read(glanes, reqs):
-        var = reqs[0].var
-        flat = flat_of(global_flats, memory, var)
-        if flat is None:
-            return None
-        for r in reqs:
-            if r.var != var:
+    def make_read(in_shared: bool, label: str):
+        def u_read(glanes, reqs):
+            got = indices(in_shared, reqs)
+            if got is None:
                 return None
-        idx = [r.idx for r in reqs]
-        if min(idx) < 0 or max(idx) >= flat.size:
-            return None
-        stats.global_accesses += len(idx)
-        itemsize = flat.itemsize
-        sectors = {i * itemsize // 32 for i in idx}
-        cost = global_load_cycles
-        if len(sectors) > 1:
-            cost += uncoalesced * (len(sectors) - 1)
-        for lane, value in zip(glanes, flat.take(idx).tolist()):
-            lane.pending = value
-        return cost, "GlobalRead"
+            flat, idx = got
+            cost = access_cost(in_shared, flat, idx)
+            for lane, value in zip(glanes, flat.take(idx).tolist()):
+                lane.pending = value
+            return cost, label
+        return u_read
 
-    def u_global_write(glanes, reqs):
-        var = reqs[0].var
-        flat = flat_of(global_flats, memory, var)
-        if flat is None:
-            return None
-        for r in reqs:
-            if r.var != var:
+    def make_write(in_shared: bool, label: str):
+        def u_write(glanes, reqs):
+            got = indices(in_shared, reqs)
+            if got is None:
                 return None
-        idx = [r.idx for r in reqs]
-        if min(idx) < 0 or max(idx) >= flat.size:
-            return None
-        stats.global_accesses += len(idx)
-        itemsize = flat.itemsize
-        sectors = {i * itemsize // 32 for i in idx}
-        cost = global_load_cycles
-        if len(sectors) > 1:
-            cost += uncoalesced * (len(sectors) - 1)
-        if len(set(idx)) == len(idx):
-            np.put(flat, idx, [r.value for r in reqs])
-        else:
-            # Duplicate targets: lane order decides the survivor.
-            for r in reqs:
-                flat[r.idx] = r.value
-        return cost, "GlobalWrite"
-
-    def u_shared_read(glanes, reqs):
-        var = reqs[0].var
-        flat = flat_of(shared_flats, shared, var)
-        if flat is None:
-            return None
-        for r in reqs:
-            if r.var != var:
-                return None
-        idx = [r.idx for r in reqs]
-        if min(idx) < 0 or max(idx) >= flat.size:
-            return None
-        stats.shared_accesses += len(idx)
-        for lane, value in zip(glanes, flat.take(idx).tolist()):
-            lane.pending = value
-        return alu_cycles, "SharedRead"
-
-    def u_shared_write(glanes, reqs):
-        var = reqs[0].var
-        flat = flat_of(shared_flats, shared, var)
-        if flat is None:
-            return None
-        for r in reqs:
-            if r.var != var:
-                return None
-        idx = [r.idx for r in reqs]
-        if min(idx) < 0 or max(idx) >= flat.size:
-            return None
-        stats.shared_accesses += len(idx)
-        if len(set(idx)) == len(idx):
-            np.put(flat, idx, [r.value for r in reqs])
-        else:
-            for r in reqs:
-                flat[r.idx] = r.value
-        return alu_cycles, "SharedWrite"
+            flat, idx = got
+            cost = access_cost(in_shared, flat, idx)
+            if len(set(idx)) == len(idx):
+                np.put(flat, idx, [r.value for r in reqs])
+            else:
+                # Duplicate targets: lane order decides the survivor.
+                for r in reqs:
+                    flat[r.idx] = r.value
+            return cost, label
+        return u_write
 
     def u_syncwarp(glanes, reqs):
         stats.syncwarps += len(reqs)
-        return op_cost(PrimitiveKind.SYNCWARP), "Syncwarp"
+        return prices.op(rq.Syncwarp.kind), "Syncwarp"
 
     def u_threadfence(glanes, reqs):
         stats.fences += len(reqs)
-        cost = 0.0
-        for r in reqs:
-            c = op_cost(_FENCE_KIND_OF[r.scope])
-            if c > cost:
-                cost = c
-        return cost, "Threadfence"
+        return max([prices.op(r.kind) for r in reqs]), "Threadfence"
 
     def u_activemask(glanes, reqs):
-        mask = 0
-        for other in current_lanes[0]:
-            if other.state is not DONE:
-                mask |= 1 << other.lane_id
+        mask = active_mask(current_lanes[0])
         for lane in glanes:
             lane.pending = mask
         return alu_cycles, "Activemask"
@@ -300,21 +208,15 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
     def u_atomic(glanes, reqs):
         first = reqs[0]
         cls = first.__class__
-        var = first.var
         scope = first.scope
         for r in reqs:
-            if r.var != var or r.scope is not scope:
+            if r.scope is not scope:
                 return None
-        in_shared = var in shared
-        if in_shared:
-            flat = flat_of(shared_flats, shared, var)
-        else:
-            flat = flat_of(global_flats, memory, var)
-        if flat is None:
+        in_shared = first.var in shared
+        got = indices(in_shared, reqs)
+        if got is None:
             return None
-        idx = [r.idx for r in reqs]
-        if min(idx) < 0 or max(idx) >= flat.size:
-            return None
+        flat, idx = got
         n_lanes = len(idx)
         effective_scope = Scope.BLOCK if in_shared else scope
         if effective_scope is Scope.BLOCK:
@@ -322,142 +224,16 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
         else:
             stats.global_atomics += n_lanes
         n_addresses = len(set(idx))
-
-        if n_addresses == n_lanes:
-            # All-distinct targets: one gather, one vectorized update,
-            # one scatter.  Value lists keep native python types so
-            # promotion/cast behaviour matches the scalar stores.
-            idx_arr = np.array(idx, dtype=np.intp)
-            old_arr = flat[idx_arr]
-            olds = old_arr.tolist()
-            if cls is rq.AtomicCas:
-                values = np.asarray([r.value for r in reqs])
-                compares = np.asarray([r.compare for r in reqs])
-                new = np.where(old_arr == compares, values, old_arr)
-            elif cls is rq.AtomicExch:
-                new = np.asarray([r.value for r in reqs])
-            else:
-                values = np.asarray([r.value for r in reqs])
-                if cls is rq.AtomicAdd:
-                    new = old_arr + values
-                elif cls is rq.AtomicSub:
-                    new = old_arr - values
-                elif cls is rq.AtomicMax:
-                    new = np.maximum(old_arr, values)
-                elif cls is rq.AtomicMin:
-                    new = np.minimum(old_arr, values)
-                elif cls is rq.AtomicAnd:
-                    new = old_arr & values
-                elif cls is rq.AtomicOr:
-                    new = old_arr | values
-                elif cls is rq.AtomicXor:
-                    new = old_arr ^ values
-                elif cls is rq.AtomicInc:
-                    new = np.where(old_arr >= values, 0, old_arr + 1)
-                elif cls is rq.AtomicDec:
-                    new = np.where((old_arr == 0) | (old_arr > values),
-                                   values, old_arr - 1)
-                else:  # pragma: no cover - the kind map is exhaustive
-                    return None
-            flat[idx_arr] = new
-            for lane, old in zip(glanes, olds):
-                lane.pending = old
-        elif cls in (rq.AtomicAdd, rq.AtomicSub) \
-                and flat.dtype.kind in "iu":
-            # Colliding integer add/sub (histogram bins): keep running
-            # values in a dict so each unique address costs one numpy
-            # load and one store instead of one per lane.  Memory is
-            # exact for integers — wrap-around is modular, so deferring
-            # the cast to the final store matches per-lane casts.
-            running: dict[int, int] = {}
-            get = running.get
-            if cls is rq.AtomicAdd:
-                for lane, r in zip(glanes, reqs):
-                    i = r.idx
-                    old = get(i)
-                    if old is None:
-                        old = flat[i].item()
-                    lane.pending = old
-                    running[i] = old + r.value
-            else:
-                for lane, r in zip(glanes, reqs):
-                    i = r.idx
-                    old = get(i)
-                    if old is None:
-                        old = flat[i].item()
-                    lane.pending = old
-                    running[i] = old - r.value
-            for i, value in running.items():
-                flat[i] = value
-        else:
-            # Colliding targets: lane order is the serialization order,
-            # so apply scalar updates — but with the request class
-            # dispatched once, outside the loop.
-            if cls is rq.AtomicAdd:
-                for lane, r in zip(glanes, reqs):
-                    old = flat[r.idx].item()
-                    lane.pending = old
-                    flat[r.idx] = old + r.value
-            elif cls is rq.AtomicSub:
-                for lane, r in zip(glanes, reqs):
-                    old = flat[r.idx].item()
-                    lane.pending = old
-                    flat[r.idx] = old - r.value
-            elif cls is rq.AtomicMax:
-                for lane, r in zip(glanes, reqs):
-                    old = flat[r.idx].item()
-                    lane.pending = old
-                    flat[r.idx] = max(old, r.value)
-            elif cls is rq.AtomicMin:
-                for lane, r in zip(glanes, reqs):
-                    old = flat[r.idx].item()
-                    lane.pending = old
-                    flat[r.idx] = min(old, r.value)
-            elif cls is rq.AtomicAnd:
-                for lane, r in zip(glanes, reqs):
-                    old = flat[r.idx].item()
-                    lane.pending = old
-                    flat[r.idx] = old & r.value
-            elif cls is rq.AtomicOr:
-                for lane, r in zip(glanes, reqs):
-                    old = flat[r.idx].item()
-                    lane.pending = old
-                    flat[r.idx] = old | r.value
-            elif cls is rq.AtomicXor:
-                for lane, r in zip(glanes, reqs):
-                    old = flat[r.idx].item()
-                    lane.pending = old
-                    flat[r.idx] = old ^ r.value
-            elif cls is rq.AtomicInc:
-                for lane, r in zip(glanes, reqs):
-                    old = flat[r.idx].item()
-                    lane.pending = old
-                    flat[r.idx] = 0 if old >= r.value else old + 1
-            elif cls is rq.AtomicDec:
-                for lane, r in zip(glanes, reqs):
-                    old = flat[r.idx].item()
-                    lane.pending = old
-                    flat[r.idx] = r.value \
-                        if (old == 0 or old > r.value) else old - 1
-            elif cls is rq.AtomicCas:
-                for lane, r in zip(glanes, reqs):
-                    old = flat[r.idx].item()
-                    lane.pending = old
-                    if old == r.compare:
-                        flat[r.idx] = r.value
-            elif cls is rq.AtomicExch:
-                for lane, r in zip(glanes, reqs):
-                    old = flat[r.idx].item()
-                    lane.pending = old
-                    flat[r.idx] = r.value
-            else:  # pragma: no cover - the kind map is exhaustive
-                return None
-
-        kind = _ATOMIC_KIND_OF[cls]
-        seen = issuing_warps.setdefault((kind, var), set())
+        olds = rq.apply_atomics(
+            cls, flat, idx, [r.value for r in reqs],
+            [r.compare for r in reqs] if cls is rq.AtomicCas else None,
+            rq.atomic_mode(cls, flat.dtype, n_lanes, n_addresses))
+        for lane, old in zip(glanes, olds):
+            lane.pending = old
+        seen = issuing_warps.setdefault((cls.kind, first.var), set())
         seen.add(warp_id_box[0])
-        return atomic_cost(kind, flat.dtype, effective_scope, n_addresses,
-                           n_lanes, len(seen)), cls.__name__
+        return prices.atomic(cls.kind, flat.dtype, effective_scope,
+                             n_addresses, n_lanes, len(seen)), cls.__name__
 
     # The atomic/activemask handlers need the current warp id / lane
     # list; one-slot boxes avoid re-binding closures per warp.
@@ -466,30 +242,26 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
 
     handlers = {
         rq.Alu: u_alu,
-        rq.GlobalRead: u_global_read,
-        rq.GlobalWrite: u_global_write,
-        rq.SharedRead: u_shared_read,
-        rq.SharedWrite: u_shared_write,
+        rq.GlobalRead: make_read(False, "GlobalRead"),
+        rq.GlobalWrite: make_write(False, "GlobalWrite"),
+        rq.SharedRead: make_read(True, "SharedRead"),
+        rq.SharedWrite: make_write(True, "SharedWrite"),
         rq.Syncwarp: u_syncwarp,
         rq.Threadfence: u_threadfence,
         rq.Activemask: u_activemask,
     }
-    for barrier_cls in _BARRIER_KIND_OF:
-        handlers[barrier_cls] = u_barrier
-    for collective_cls in _COLLECTIVE_KIND_OF:
-        handlers[collective_cls] = u_collective
-    for atomic_cls in _ATOMIC_KIND_OF:
-        handlers[atomic_cls] = u_atomic
+    handlers.update(dict.fromkeys(rq.BARRIERS, u_barrier))
+    handlers.update(dict.fromkeys(rq.COLLECTIVES, u_collective))
+    handlers.update(dict.fromkeys(rq.ATOMICS, u_atomic))
     # Classes whose uniform pass can complete or conflict with a pending
     # warp collective (the reference loop re-checks after every pass;
     # for plain uniform passes the check is a no-op because the gathered
     # lanes are back to RUNNING).
-    needs_collective_check = set(_BARRIER_KIND_OF) | set(_COLLECTIVE_KIND_OF)
+    needs_collective_check = set(rq.BARRIERS) | set(rq.COLLECTIVES)
     handlers_get = handlers.get
 
     def step_warp(warp_id, lanes):
-        nonlocal done_lanes, barrier_waiting, n_fallback
-        global UNIFORM_PASSES
+        nonlocal done_lanes, barrier_waiting, n_uniform, n_fallback
         glanes = []
         reqs = []
         lane_append = glanes.append
@@ -516,8 +288,7 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
             budget.charge(n_steps)
 
         if not reqs:
-            collective = cuda._maybe_run_collective(warp_id, lanes, ctx,
-                                                    stats)
+            collective = cuda._maybe_run_collective(lanes, prices, stats)
             if collective is not None:
                 return True, collective[0], collective[1]
             return stepped, 0.0, ""
@@ -535,13 +306,13 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
                 current_lanes[0] = lanes
                 result = handler(glanes, reqs)
                 if result is not None:
-                    UNIFORM_PASSES += 1
+                    n_uniform += 1
                     cost, label = result
                     if cls in needs_collective_check:
-                        if cls in _BARRIER_KIND_OF:
+                        if cls in rq.BARRIERS:
                             barrier_waiting = True
                         collective = cuda._maybe_run_collective(
-                            warp_id, lanes, ctx, stats)
+                            lanes, prices, stats)
                         if collective is not None:
                             cost += collective[0]
                             label = label + "+" + collective[1] \
@@ -552,13 +323,13 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
         # semantics are authoritative.
         n_fallback += 1
         cost, labels = cuda._process_gathered(
-            warp_id, lanes, list(zip(glanes, reqs)), ctx, memory, shared,
-            issuing_warps, resident_blocks, stats, env)
+            warp_id, lanes, list(zip(glanes, reqs)), prices, memory, shared,
+            issuing_warps, stats, env)
         for lane in glanes:
             if lane.state is BARRIER:
                 barrier_waiting = True
                 break
-        collective = cuda._maybe_run_collective(warp_id, lanes, ctx, stats)
+        collective = cuda._maybe_run_collective(lanes, prices, stats)
         if collective is not None:
             cost += collective[0]
             labels.append(collective[1])
@@ -567,7 +338,7 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
     # ----------------------------- pass loop --------------------------- #
 
     barrier_waiting = False
-    uniform_start = UNIFORM_PASSES
+    n_uniform = 0
     n_fallback = 0
 
     while done_lanes < total_lanes:
@@ -586,13 +357,12 @@ def run_block_fast(cuda, kernel, launch: LaunchConfig, ctx: GpuRunContext,
             # arrivals after every pass; here the scan only runs while
             # some lane actually waits at one.
             released = cuda._maybe_release_barrier(
-                warps, warp_clocks, ctx, stats, trace, block_idx, env)
+                warps, warp_clocks, prices, stats, trace, block_idx, env)
             if released:
                 barrier_waiting = False
                 progressed = True
         if not progressed:
             cuda._raise_deadlock(warps)
-    n_uniform = UNIFORM_PASSES - uniform_start
     if _metric_subscriber[0] is None:
         # No recorder: direct increments keep the per-block flush
         # within the bench regression gate's noise floor.

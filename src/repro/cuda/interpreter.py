@@ -33,6 +33,7 @@ from typing import Callable, Generator, Mapping
 import numpy as np
 
 from repro.common.budget import StepBudget
+from repro.common.datatypes import DOUBLE, INT, DataType, dtype_of
 from repro.common.errors import SimulationError
 from repro.compiler.ops import Op, PrimitiveKind, Scope
 from repro.gpu.device import GpuDevice, GpuRunContext
@@ -51,46 +52,6 @@ _C_BLOCKS_REFERENCE = _counter("interp.cuda.blocks_reference")
 
 #: A kernel: generator function yielding requests.
 Kernel = Callable[["KernelThread"], Generator]
-
-_ATOMIC_KIND_OF = {
-    rq.AtomicAdd: PrimitiveKind.ATOMIC_ADD,
-    rq.AtomicSub: PrimitiveKind.ATOMIC_SUB,
-    rq.AtomicMax: PrimitiveKind.ATOMIC_MAX,
-    rq.AtomicMin: PrimitiveKind.ATOMIC_MIN,
-    rq.AtomicAnd: PrimitiveKind.ATOMIC_AND,
-    rq.AtomicOr: PrimitiveKind.ATOMIC_OR,
-    rq.AtomicXor: PrimitiveKind.ATOMIC_XOR,
-    rq.AtomicInc: PrimitiveKind.ATOMIC_INC,
-    rq.AtomicDec: PrimitiveKind.ATOMIC_DEC,
-    rq.AtomicCas: PrimitiveKind.ATOMIC_CAS,
-    rq.AtomicExch: PrimitiveKind.ATOMIC_EXCH,
-}
-
-_BARRIER_KIND_OF = {
-    rq.Syncthreads: PrimitiveKind.SYNCTHREADS,
-    rq.SyncthreadsCount: PrimitiveKind.SYNCTHREADS_COUNT,
-    rq.SyncthreadsAnd: PrimitiveKind.SYNCTHREADS_AND,
-    rq.SyncthreadsOr: PrimitiveKind.SYNCTHREADS_OR,
-}
-
-_COLLECTIVE_KIND_OF = {
-    rq.ShflSync: PrimitiveKind.SHFL_SYNC,
-    rq.ShflUpSync: PrimitiveKind.SHFL_UP_SYNC,
-    rq.ShflDownSync: PrimitiveKind.SHFL_DOWN_SYNC,
-    rq.ShflXorSync: PrimitiveKind.SHFL_XOR_SYNC,
-    rq.VoteAll: PrimitiveKind.VOTE_ALL,
-    rq.VoteAny: PrimitiveKind.VOTE_ANY,
-    rq.Ballot: PrimitiveKind.VOTE_BALLOT,
-    rq.MatchAnySync: PrimitiveKind.MATCH_ANY_SYNC,
-    rq.MatchAllSync: PrimitiveKind.MATCH_ALL_SYNC,
-    rq.ReduceMaxSync: PrimitiveKind.REDUCE_MAX_SYNC,
-}
-
-_FENCE_KIND_OF = {
-    Scope.DEVICE: PrimitiveKind.THREADFENCE,
-    Scope.BLOCK: PrimitiveKind.THREADFENCE_BLOCK,
-    Scope.SYSTEM: PrimitiveKind.THREADFENCE_SYSTEM,
-}
 
 
 class KernelThread:
@@ -299,6 +260,77 @@ class _BlockEnv:
     block_idx: int
     epoch: int = 0
     detector: "GpuRaceDetector | None" = None
+
+
+class Prices:
+    """Memo of one block's op and atomic-issue prices.
+
+    ``op_cost`` and ``atomic_issue_cost`` are pure in their arguments
+    (the device model carries no RNG), so one lookup per distinct shape
+    covers the whole block.  Every CUDA tier prices through this class.
+    """
+
+    __slots__ = ("device", "ctx", "resident_blocks", "_ops", "_atomics")
+
+    def __init__(self, device: GpuDevice, ctx: GpuRunContext,
+                 launch: LaunchConfig) -> None:
+        self.device = device
+        self.ctx = ctx
+        self.resident_blocks = min(
+            launch.grid_blocks,
+            ctx.occ.active_sms * ctx.occ.blocks_per_sm_resident)
+        self._ops: dict[tuple, float] = {}
+        self._atomics: dict[tuple, float] = {}
+
+    def op(self, kind: PrimitiveKind, dtype: DataType | None = None
+           ) -> float:
+        """A non-atomic primitive, priced at ``dtype`` when given."""
+        key = (kind, dtype)
+        c = self._ops.get(key)
+        if c is None:
+            c = self._ops[key] = self.device.op_cost(
+                Op(kind=kind, dtype=dtype), self.ctx)
+        return c
+
+    def atomic(self, kind: PrimitiveKind, np_dtype: np.dtype, scope: Scope,
+               n_addresses: int, n_lanes: int, n_warps: int) -> float:
+        """One warp pass's atomic group, priced from its issue pattern:
+        lanes issuing, distinct addresses, and warps of the block seen
+        issuing this (kind, variable)."""
+        key = (kind, np_dtype, scope, n_addresses, n_lanes, n_warps)
+        c = self._atomics.get(key)
+        if c is None:
+            dtype = dtype_of(np_dtype)
+            c = self._atomics[key] = self.device.atomic_issue_cost(
+                Op(kind=kind, dtype=dtype, target=SharedScalar(dtype),
+                   scope=scope), self.ctx,
+                n_addresses=n_addresses, n_lanes=n_lanes,
+                issuing_warps=n_warps,
+                resident_blocks=self.resident_blocks)
+        return c
+
+
+def active_mask(lanes: list[_Lane]) -> int:
+    """``__activemask()``: the bits of the warp's lanes still running."""
+    mask = 0
+    for lane in lanes:
+        if lane.state is not _LaneState.DONE:
+            mask |= 1 << lane.lane_id
+    return mask
+
+
+def start_block(kernel: Kernel, launch: LaunchConfig, block_idx
+                ) -> list[list[_Lane]]:
+    """One block's warps of fresh lanes, each running ``kernel``.
+
+    ``block_idx`` is an int, or a symbolic block index during capture.
+    """
+    n = launch.block_threads
+    return [[_Lane(gen=kernel(KernelThread(t, block_idx, n,
+                                           launch.grid_blocks)),
+                   lane_id=t - wstart)
+             for t in range(wstart, min(wstart + WARP_SIZE, n))]
+            for wstart in range(0, n, WARP_SIZE)]
 
 
 @dataclass
@@ -517,22 +549,13 @@ class Cuda:
         _C_BLOCKS_REFERENCE.add(1)
         shared = {name: np.zeros(size, dtype=dt)
                   for name, (size, dt) in shared_decls.items()}
-        n = launch.block_threads
-        warps: list[list[_Lane]] = []
-        for wstart in range(0, n, WARP_SIZE):
-            lanes = []
-            for t in range(wstart, min(wstart + WARP_SIZE, n)):
-                kt = KernelThread(t, block_idx, n, launch.grid_blocks)
-                lanes.append(_Lane(gen=kernel(kt), lane_id=t - wstart))
-            warps.append(lanes)
+        warps = start_block(kernel, launch, block_idx)
+        prices = Prices(self.device, ctx, launch)
         warp_clocks = [0.0] * len(warps)
         env = _BlockEnv(block_idx=block_idx, detector=detector)
         # Warps of the block seen issuing each (atomic kind, var): drives
         # the dynamic contention estimate.
         issuing_warps: dict[tuple[PrimitiveKind, str], set[int]] = {}
-        resident_blocks = min(
-            launch.grid_blocks,
-            ctx.occ.active_sms * ctx.occ.blocks_per_sm_resident)
 
         def all_done() -> bool:
             return all(lane.state is _LaneState.DONE
@@ -542,8 +565,8 @@ class Cuda:
             progressed = False
             for warp_id, lanes in enumerate(warps):
                 stepped, cost, label = self._step_warp(
-                    warp_id, lanes, ctx, memory, shared, issuing_warps,
-                    resident_blocks, stats, budget, env)
+                    warp_id, lanes, prices, memory, shared, issuing_warps,
+                    stats, budget, env)
                 if trace is not None and cost > 0:
                     trace.add(block_idx, warp_id, label,
                               warp_clocks[warp_id],
@@ -551,7 +574,7 @@ class Cuda:
                 warp_clocks[warp_id] += cost
                 progressed |= stepped
             progressed |= self._maybe_release_barrier(
-                warps, warp_clocks, ctx, stats, trace, block_idx, env)
+                warps, warp_clocks, prices, stats, trace, block_idx, env)
             if not progressed:
                 self._raise_deadlock(warps)
         return max(warp_clocks) if warp_clocks else 0.0
@@ -559,11 +582,10 @@ class Cuda:
     # ------------------------------------------------------------------ #
 
     def _step_warp(self, warp_id: int, lanes: list[_Lane],
-                   ctx: GpuRunContext, memory: dict[str, np.ndarray],
+                   prices: Prices, memory: dict[str, np.ndarray],
                    shared: dict[str, np.ndarray],
                    issuing_warps: dict[tuple[PrimitiveKind, str], set[int]],
-                   resident_blocks: int, stats: LaunchStats,
-                   budget: StepBudget,
+                   stats: LaunchStats, budget: StepBudget,
                    env: "_BlockEnv | None" = None
                    ) -> tuple[bool, float, str]:
         """Advance every runnable lane of one warp by one request.
@@ -587,17 +609,16 @@ class Cuda:
             gathered.append((lane, request))
 
         if not gathered:
-            collective = self._maybe_run_collective(warp_id, lanes,
-                                                    ctx, stats)
+            collective = self._maybe_run_collective(lanes, prices, stats)
             if collective is not None:
                 return True, collective[0], collective[1]
             return stepped, 0.0, ""
 
         cost, labels = self._process_gathered(
-            warp_id, lanes, gathered, ctx, memory, shared, issuing_warps,
-            resident_blocks, stats, env)
+            warp_id, lanes, gathered, prices, memory, shared, issuing_warps,
+            stats, env)
 
-        collective = self._maybe_run_collective(warp_id, lanes, ctx, stats)
+        collective = self._maybe_run_collective(lanes, prices, stats)
         if collective is not None:
             cost += collective[0]
             labels.append(collective[1])
@@ -605,12 +626,12 @@ class Cuda:
 
     def _process_gathered(self, warp_id: int, lanes: list[_Lane],
                           gathered: list[tuple[_Lane, rq.Request]],
-                          ctx: GpuRunContext,
+                          prices: Prices,
                           memory: dict[str, np.ndarray],
                           shared: dict[str, np.ndarray],
                           issuing_warps: dict[tuple[PrimitiveKind, str],
                                               set[int]],
-                          resident_blocks: int, stats: LaunchStats,
+                          stats: LaunchStats,
                           env: "_BlockEnv | None" = None
                           ) -> tuple[float, list[str]]:
         """Execute one pass's gathered (lane, request) pairs.
@@ -636,11 +657,7 @@ class Cuda:
                 lane.state = _LaneState.BARRIER
                 lane.barrier_request = request
             elif isinstance(request, rq.Activemask):
-                mask = 0
-                for other in lanes:
-                    if other.state is not _LaneState.DONE:
-                        mask |= 1 << other.lane_id
-                lane.pending = mask
+                lane.pending = active_mask(lanes)
                 group_costs[rq.Activemask] = max(
                     group_costs.get(rq.Activemask, 0.0),
                     self.device.params.alu_cycles)
@@ -658,7 +675,7 @@ class Cuda:
                         global_sectors.setdefault(type(request), set()) \
                             .add((request.var, sector))
                 simple_cost = self._execute_simple(
-                    lane, request, ctx, memory, shared, stats,
+                    lane, request, prices, memory, shared, stats,
                     warp_id=warp_id, env=env)
                 key = type(request)
                 group_costs[key] = max(group_costs.get(key, 0.0),
@@ -672,8 +689,8 @@ class Cuda:
                     * (len(sectors) - 1)
         for (req_type, var, scope), group in atomic_groups.items():
             group_costs[(req_type, var, scope)] = self._execute_atomics(
-                warp_id, req_type, var, scope, group, ctx, memory, shared,
-                issuing_warps, resident_blocks, stats, env)
+                warp_id, req_type, var, scope, group, prices, memory,
+                shared, issuing_warps, stats, env)
 
         cost = sum(group_costs.values())
         labels = sorted(
@@ -686,7 +703,7 @@ class Cuda:
         return cost, labels
 
     def _execute_simple(self, lane: _Lane, request: rq.Request,
-                        ctx: GpuRunContext, memory: dict[str, np.ndarray],
+                        prices: Prices, memory: dict[str, np.ndarray],
                         shared: dict[str, np.ndarray],
                         stats: LaunchStats, warp_id: int = 0,
                         env: "_BlockEnv | None" = None) -> float:
@@ -709,12 +726,10 @@ class Cuda:
             return params.alu_cycles * request.n
         if isinstance(request, rq.Syncwarp):
             stats.syncwarps += 1
-            return self.device.op_cost(
-                Op(kind=PrimitiveKind.SYNCWARP), ctx)
+            return prices.op(request.kind)
         if isinstance(request, rq.Threadfence):
             stats.fences += 1
-            return self.device.op_cost(
-                Op(kind=_FENCE_KIND_OF[request.scope]), ctx)
+            return prices.op(request.kind)
         if isinstance(request, rq.GlobalRead):
             stats.global_accesses += 1
             lane.pending = self._load(memory, request, "global")
@@ -740,17 +755,16 @@ class Cuda:
     def _execute_atomics(self, warp_id: int, req_type: type, var: str,
                          scope: Scope,
                          group: list[tuple[_Lane, rq.AtomicRmw]],
-                         ctx: GpuRunContext, memory: dict[str, np.ndarray],
+                         prices: Prices, memory: dict[str, np.ndarray],
                          shared: dict[str, np.ndarray],
                          issuing_warps: dict[tuple[PrimitiveKind, str],
                                              set[int]],
-                         resident_blocks: int, stats: LaunchStats,
+                         stats: LaunchStats,
                          env: "_BlockEnv | None" = None) -> float:
         """Execute one warp-pass's atomics to one variable, in lane order,
         and price them from the observed issue pattern."""
         space = shared if var in shared else memory
         effective_scope = Scope.BLOCK if var in shared else scope
-        kind = _ATOMIC_KIND_OF[req_type]
         if effective_scope is Scope.BLOCK:
             stats.block_atomics += len(group)
         else:
@@ -766,8 +780,8 @@ class Cuda:
                     f"atomic on {var}[{request.idx}] out of bounds "
                     f"(size {flat.size})")
 
-        for lane, request in group:
-            if env is not None and env.detector is not None:
+        if env is not None and env.detector is not None:
+            for lane, request in group:
                 access = GpuAccess(
                     block=env.block_idx,
                     thread=warp_id * WARP_SIZE + lane.lane_id,
@@ -777,61 +791,50 @@ class Cuda:
                                                request.idx, access)
                 else:
                     env.detector.record_global(var, request.idx, access)
-            old = flat[request.idx].item()
+        idx = [request.idx for _lane, request in group]
+        olds = rq.apply_atomics(
+            req_type, flat, idx, [request.value for _l, request in group],
+            [request.compare for _l, request in group]
+            if req_type is rq.AtomicCas else None, "s")
+        for (lane, _request), old in zip(group, olds):
             lane.pending = old
-            if isinstance(request, rq.AtomicAdd):
-                flat[request.idx] = old + request.value
-            elif isinstance(request, rq.AtomicSub):
-                flat[request.idx] = old - request.value
-            elif isinstance(request, rq.AtomicMax):
-                flat[request.idx] = max(old, request.value)
-            elif isinstance(request, rq.AtomicMin):
-                flat[request.idx] = min(old, request.value)
-            elif isinstance(request, rq.AtomicAnd):
-                flat[request.idx] = old & request.value
-            elif isinstance(request, rq.AtomicOr):
-                flat[request.idx] = old | request.value
-            elif isinstance(request, rq.AtomicXor):
-                flat[request.idx] = old ^ request.value
-            elif isinstance(request, rq.AtomicInc):
-                flat[request.idx] = 0 if old >= request.value else old + 1
-            elif isinstance(request, rq.AtomicDec):
-                flat[request.idx] = request.value \
-                    if (old == 0 or old > request.value) else old - 1
-            elif isinstance(request, rq.AtomicCas):
-                if old == request.compare:
-                    flat[request.idx] = request.value
-            elif isinstance(request, rq.AtomicExch):
-                flat[request.idx] = request.value
-            else:  # pragma: no cover - the group map is exhaustive
-                raise SimulationError(f"unknown atomic {request!r}")
 
-        from repro.common.datatypes import DTYPES, INT
-        dtype = INT
-        for dt in DTYPES:
-            if dt.np_dtype == arr.dtype:
-                dtype = dt
-                break
-        seen = issuing_warps.setdefault((kind, var), set())
+        seen = issuing_warps.setdefault((req_type.kind, var), set())
         seen.add(warp_id)
-        op = Op(kind=kind, dtype=dtype, target=SharedScalar(dtype),
-                scope=effective_scope)
-        n_addresses = len({request.idx for _l, request in group})
-        return self.device.atomic_issue_cost(
-            op, ctx, n_addresses=n_addresses, n_lanes=len(group),
-            issuing_warps=len(seen), resident_blocks=resident_blocks)
+        return prices.atomic(req_type.kind, arr.dtype, effective_scope,
+                             len(set(idx)), len(group), len(seen))
 
     # ------------------------------------------------------------------ #
 
-    def _maybe_run_collective(self, warp_id: int, lanes: list[_Lane],
-                              ctx: GpuRunContext, stats: LaunchStats
+    def _maybe_run_collective(self, lanes: list[_Lane], prices: Prices,
+                              stats: LaunchStats
                               ) -> tuple[float, str] | None:
         """Run a warp collective once every live, non-barrier lane arrived.
 
         Returns:
             (cost, label) when a collective executed; None otherwise.
         """
-        del warp_id
+        participants = self._ready_collective(lanes)
+        if participants is None:
+            return None
+        stats.collectives += len(participants)
+        self._apply_collective(participants)
+        first = participants[0].collective
+        assert first is not None
+        dtype = DOUBLE if isinstance(getattr(first, "value", 0), float) \
+            else INT
+        cost = prices.op(first.kind, dtype)
+        label = type(first).__name__
+        for lane in participants:
+            lane.state = _LaneState.RUNNING
+            lane.collective = None
+        return cost, label
+
+    @staticmethod
+    def _ready_collective(lanes: list[_Lane]) -> list[_Lane] | None:
+        """The lanes of a warp collective every live, non-barrier lane
+        reached, or None while none waits or stragglers still run;
+        raises SimulationError on divergence or mixed collectives."""
         participants = []
         still_running = False
         blocked_elsewhere = False
@@ -857,20 +860,7 @@ class Cuda:
             raise SimulationError(
                 f"lanes yielded different collectives in one step: "
                 f"{sorted(t.__name__ for t in types)}")
-        stats.collectives += len(participants)
-        self._apply_collective(participants)
-        first = participants[0].collective
-        assert first is not None
-        from repro.common.datatypes import DOUBLE, INT
-        dtype = DOUBLE if isinstance(getattr(first, "value", 0), float) \
-            else INT
-        op = Op(kind=_COLLECTIVE_KIND_OF[type(first)], dtype=dtype)
-        cost = self.device.op_cost(op, ctx)
-        label = type(first).__name__
-        for lane in participants:
-            lane.state = _LaneState.RUNNING
-            lane.collective = None
-        return cost, label
+        return participants
 
     @staticmethod
     def _apply_collective(participants: list[_Lane]) -> None:
@@ -955,7 +945,7 @@ class Cuda:
             raise SimulationError(f"unknown collective {first!r}")
 
     def _maybe_release_barrier(self, warps: list[list[_Lane]],
-                               warp_clocks: list[float], ctx: GpuRunContext,
+                               warp_clocks: list[float], prices: Prices,
                                stats: LaunchStats,
                                trace: Trace | None = None,
                                block_idx: int = 0,
@@ -987,7 +977,7 @@ class Cuda:
                 f"{sorted(v.__name__ for v in variants)}")
         variant = variants.pop()
         stats.syncthreads += 1
-        cost = self.device.op_cost(Op(kind=_BARRIER_KIND_OF[variant]), ctx)
+        cost = prices.op(variant.kind)
         sync_time = max(warp_clocks) + cost
         for w in range(len(warp_clocks)):
             if trace is not None:

@@ -41,6 +41,7 @@ from typing import Callable, Generator, Mapping
 import numpy as np
 
 from repro.common.budget import StepBudget
+from repro.common.datatypes import dtype_of
 from repro.common.errors import SimulationError
 from repro.compiler.ops import Op, PrimitiveKind, Scope
 from repro.gpu.multi import MultiGpu, MultiGpuRunContext
@@ -54,26 +55,6 @@ from repro.obs.metrics import counter as _counter
 _C_LAUNCHES = _counter("multigpu.launches")
 _C_ROUNDS = _counter("multigpu.rounds")
 _C_PUBLISHES = _counter("multigpu.publishes")
-
-_ATOMIC_KIND_OF = {
-    rq.AtomicAdd: PrimitiveKind.ATOMIC_ADD,
-    rq.AtomicSub: PrimitiveKind.ATOMIC_SUB,
-    rq.AtomicMax: PrimitiveKind.ATOMIC_MAX,
-    rq.AtomicMin: PrimitiveKind.ATOMIC_MIN,
-    rq.AtomicAnd: PrimitiveKind.ATOMIC_AND,
-    rq.AtomicOr: PrimitiveKind.ATOMIC_OR,
-    rq.AtomicXor: PrimitiveKind.ATOMIC_XOR,
-    rq.AtomicInc: PrimitiveKind.ATOMIC_INC,
-    rq.AtomicDec: PrimitiveKind.ATOMIC_DEC,
-    rq.AtomicCas: PrimitiveKind.ATOMIC_CAS,
-    rq.AtomicExch: PrimitiveKind.ATOMIC_EXCH,
-}
-
-_FENCE_KIND_OF = {
-    Scope.DEVICE: PrimitiveKind.THREADFENCE,
-    Scope.BLOCK: PrimitiveKind.THREADFENCE_BLOCK,
-    Scope.SYSTEM: PrimitiveKind.THREADFENCE_SYSTEM,
-}
 
 #: Sentinel distinguishing "no pending write" from a written value.
 _ABSENT = object()
@@ -342,8 +323,7 @@ class MultiCuda:
             stats.fences += 1
             if request.scope is Scope.SYSTEM:
                 self._publish(dev, system, stats)
-            return self.multi.op_cost(
-                Op(kind=_FENCE_KIND_OF[request.scope]), ctx)
+            return self.multi.op_cost(Op(kind=request.kind), ctx)
         if isinstance(request, rq.SystemRead):
             stats.system_reads += 1
             th.pending = self._system_load(dev, system, request)
@@ -378,72 +358,43 @@ class MultiCuda:
         if not on_system and var not in dev.memory:
             raise SimulationError(
                 f"atomic on undeclared variable {var!r}")
-        if on_system and request.scope is Scope.SYSTEM:
-            # Cross-device coherent, but *relaxed*: the RMW itself hits
-            # the canonical array and is immediately visible to peers,
-            # while the device's earlier plain system writes stay
-            # buffered.  Ordering prior writes before the atomic needs a
-            # threadfence(Scope.SYSTEM) — exactly the handshake the
-            # cross-device sync-scope sanitizer rule enforces.
-            stats.system_atomics += 1
-            arr = system[var].reshape(-1)
-            self._check_idx(arr, var, idx)
+        arr = (system if on_system else dev.memory)[var].reshape(-1)
+        self._check_idx(arr, var, idx)
+        # A system-scope atomic on system memory is cross-device
+        # coherent, but *relaxed*: the RMW itself hits the canonical
+        # array and is immediately visible to peers, while the device's
+        # earlier plain system writes stay buffered.  Ordering prior
+        # writes before the atomic needs a threadfence(Scope.SYSTEM) —
+        # exactly the handshake the cross-device sync-scope sanitizer
+        # rule enforces.  A device-scope atomic on system memory is
+        # atomic within this device's buffered view, invisible to peers
+        # until publish.
+        buffered = on_system and request.scope is not Scope.SYSTEM
+        if buffered:
+            old = dev.pending.get((var, idx), _ABSENT)
+            if old is _ABSENT:
+                old = arr[idx].item()
+        else:
             old = arr[idx].item()
-            arr[idx] = self._rmw(request, old)
-        elif on_system:
-            # Device-scope atomic on system memory: atomic within this
-            # device's buffered view, invisible to peers until publish.
-            stats.device_atomics += 1
-            arr = system[var].reshape(-1)
-            self._check_idx(arr, var, idx)
-            old = dev.pending.get((var, idx), arr[idx].item())
-            dev.pending[(var, idx)] = self._rmw(request, old)
+        if on_system and not buffered:
+            stats.system_atomics += 1
         else:
             stats.device_atomics += 1
-            arr = dev.memory[var].reshape(-1)
-            self._check_idx(arr, var, idx)
-            old = arr[idx].item()
-            arr[idx] = self._rmw(request, old)
+        operand, result = rq.coercers(arr.dtype)
+        compare = getattr(request, "compare", None)
+        new = result(type(request).scalar(
+            old, operand(request.value),
+            None if compare is None else operand(compare)))
+        if buffered:
+            dev.pending[(var, idx)] = new
+        else:
+            arr[idx] = new
         th.pending = old
 
-        from repro.common.datatypes import DTYPES, INT
-        np_dtype = (system[var] if on_system else dev.memory[var]).dtype
-        dtype = INT
-        for dt in DTYPES:
-            if dt.np_dtype == np_dtype:
-                dtype = dt
-                break
-        op = Op(kind=_ATOMIC_KIND_OF[type(request)], dtype=dtype,
-                target=SharedScalar(dtype),
+        dtype = dtype_of(arr.dtype)
+        op = Op(kind=request.kind, dtype=dtype, target=SharedScalar(dtype),
                 scope=request.scope if on_system else Scope.DEVICE)
         return self.multi.op_cost(op, ctx)
-
-    @staticmethod
-    def _rmw(request: rq.AtomicRmw, old):
-        if isinstance(request, rq.AtomicAdd):
-            return old + request.value
-        if isinstance(request, rq.AtomicSub):
-            return old - request.value
-        if isinstance(request, rq.AtomicMax):
-            return max(old, request.value)
-        if isinstance(request, rq.AtomicMin):
-            return min(old, request.value)
-        if isinstance(request, rq.AtomicAnd):
-            return old & request.value
-        if isinstance(request, rq.AtomicOr):
-            return old | request.value
-        if isinstance(request, rq.AtomicXor):
-            return old ^ request.value
-        if isinstance(request, rq.AtomicInc):
-            return 0 if old >= request.value else old + 1
-        if isinstance(request, rq.AtomicDec):
-            return request.value if (old == 0 or old > request.value) \
-                else old - 1
-        if isinstance(request, rq.AtomicCas):
-            return request.value if old == request.compare else old
-        if isinstance(request, rq.AtomicExch):
-            return request.value
-        raise SimulationError(f"unknown atomic {request!r}")
 
     # ------------------------- memory plumbing -------------------------- #
 

@@ -45,7 +45,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.common.budget import StepBudget
-from repro.common.datatypes import DTYPES, INT
+from repro.common.datatypes import INT, dtype_of
 from repro.common.errors import SimulationError
 from repro.compiler.ops import Op, PrimitiveKind
 from repro.mem.layout import PrivateArrayElement, SharedScalar
@@ -174,14 +174,9 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
     def var_dtype(var):
         dt = dtype_by_var.get(var)
         if dt is None:
-            dt = INT
             arr = memory.get(var)
-            if arr is not None:
-                for d in DTYPES:
-                    if d.np_dtype == arr.dtype:
-                        dt = d
-                        break
-            dtype_by_var[var] = dt
+            dt = dtype_by_var[var] = INT if arr is None \
+                else dtype_of(arr.dtype)
         return dt
 
     mem_cost, plain_cost = make_cost_model(machine, ctx)

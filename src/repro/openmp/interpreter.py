@@ -467,13 +467,9 @@ class OpenMP:
     def _dtype_of(request, memory: dict[str, np.ndarray], var: str):
         if getattr(request, "dtype", None) is not None:
             return request.dtype
-        from repro.common.datatypes import DTYPES, INT
+        from repro.common.datatypes import INT, dtype_of
         arr = memory.get(var)
-        if arr is not None:
-            for dt in DTYPES:
-                if dt.np_dtype == arr.dtype:
-                    return dt
-        return INT
+        return INT if arr is None else dtype_of(arr.dtype)
 
     def _execute(self, request, tid: int, memory: dict[str, np.ndarray],
                  detector: RaceDetector | None,

@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 
 from repro.compiler.dispatcher import dispatch_disabled, dispatch_forced
+from repro.compiler.ops import PrimitiveKind, Scope
+from repro.cuda import requests as rq
 from repro.cuda.interpreter import Cuda
 from repro.cuda.multigpu import MgThread, MultiCuda
 from repro.gpu.multi import MultiGpu
@@ -108,3 +110,93 @@ def test_every_tier_applies_the_table_rule(mini_gpu, name):
             f"{tier}: memory {memory['mem'][:4]} != {want_mem[:4]}"
         assert memory["old"].tobytes() == want_old.tobytes(), \
             f"{tier}: old values {memory['old'][:4]} != {want_old[:4]}"
+
+
+# ------------------------- table completeness ------------------------ #
+
+#: Requests priced from the device's cycle parameters, not as a
+#: primitive: ALU work, plain memory traffic, and ``__activemask()``.
+_UNPRICED = {rq.Alu, rq.GlobalRead, rq.GlobalWrite, rq.SharedRead,
+             rq.SharedWrite, rq.SystemRead, rq.SystemWrite, rq.Activemask}
+_FAMILY_BASES = {rq.Request, rq.MemoryRequest, rq.AtomicRmw,
+                 rq.WarpCollective}
+
+
+def _concrete_requests():
+    return [obj for obj in vars(rq).values()
+            if isinstance(obj, type) and issubclass(obj, rq.Request)
+            and obj not in _FAMILY_BASES]
+
+
+def test_every_request_class_has_its_table_entry():
+    classes = _concrete_requests()
+    assert len(classes) == 37
+    for cls in classes:
+        if cls in _UNPRICED:
+            assert cls.kind is None, cls.__name__
+        elif cls is rq.Threadfence:
+            kinds = {rq.Threadfence(scope).kind for scope in Scope}
+            assert kinds == set(rq.FENCE_KINDS.values())
+        else:
+            assert isinstance(cls.kind, PrimitiveKind), cls.__name__
+    kinds = [cls.kind for cls in classes if cls.kind is not None
+             and cls is not rq.Threadfence]
+    assert len(kinds) == len(set(kinds)), "two classes share a kind"
+    assert set(rq.ATOMICS) == {c for c in classes
+                               if issubclass(c, rq.AtomicRmw)}
+    assert set(rq.BARRIERS) == {c for c in classes
+                                if issubclass(c, rq.Syncthreads)}
+    assert set(rq.COLLECTIVES) == {c for c in classes
+                                   if issubclass(c, rq.WarpCollective)}
+    for cls in rq.ATOMICS:
+        assert "scalar" in vars(cls) and "vector" in vars(cls), \
+            cls.__name__
+
+
+_EDGE_DTYPES = (np.int32, np.uint64, np.float32, np.float64)
+
+
+def _edges(dtype):
+    """0, -1 and the type's max; NaN and +-inf too for floats."""
+    if dtype.kind == "f":
+        return [0.0, -1.0, float(np.finfo(dtype).max), float("nan"),
+                float("inf"), float("-inf")]
+    return [0, -1, int(np.iinfo(dtype).max)]
+
+
+def _forms_agree(cls, dtype, olds, values, compares, idx, mode):
+    """Apply one group in ``mode`` and serially; compare every byte."""
+    operand = rq.coercers(dtype)[0]
+    got, want = (np.array([operand(o) for o in olds], dtype=dtype)
+                 for _ in range(2))
+    vector = rq.apply_atomics(cls, got, idx, values, compares, mode)
+    scalar = rq.apply_atomics(cls, want, idx, values, compares, "s")
+    assert got.tobytes() == want.tobytes(), f"{cls.__name__} {dtype}"
+    assert np.array(vector, dtype).tobytes() == \
+        np.array(scalar, dtype).tobytes(), f"{cls.__name__} {dtype}"
+
+
+@pytest.mark.parametrize("dtype", [np.dtype(d) for d in _EDGE_DTYPES],
+                         ids=lambda d: d.name)
+@pytest.mark.parametrize("cls", rq.ATOMICS, ids=lambda c: c.__name__)
+def test_scalar_and_vector_forms_agree_on_edge_operands(cls, dtype):
+    if cls.integer_only and dtype.kind == "f":
+        pytest.skip("bitwise atomics apply to integer types only")
+    edges = _edges(dtype)
+    # Every (old, operand[, compare]) triple on its own address.
+    triples = [(o, v, c) for o in edges for v in edges
+               for c in (edges if cls is rq.AtomicCas else [None])]
+    olds = [o for o, _, _ in triples]
+    values = [v for _, v, _ in triples]
+    compares = [c for _, _, c in triples] if cls is rq.AtomicCas \
+        else None
+    with np.errstate(all="ignore"):
+        _forms_agree(cls, dtype, olds, values, compares,
+                     list(range(len(triples))), "d")
+        # Every operand in turn on one address, in the colliding mode
+        # the applier picks for this class and type.
+        mode = rq.atomic_mode(cls, dtype, len(edges), 1)
+        for start in edges:
+            _forms_agree(cls, dtype, [start], edges,
+                         edges if cls is rq.AtomicCas else None,
+                         [0] * len(edges), mode)

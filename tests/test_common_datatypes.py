@@ -12,6 +12,7 @@ from repro.common.datatypes import (
     ULL,
     DataType,
     dtype_by_name,
+    dtype_of,
 )
 
 
@@ -72,3 +73,15 @@ class TestDtypeByName:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError, match="unknown data type"):
             dtype_by_name("long double")
+
+
+class TestDtypeOf:
+    @pytest.mark.parametrize("dt", DTYPES, ids=lambda d: d.name)
+    def test_paper_types_roundtrip(self, dt):
+        assert dtype_of(dt.np_dtype) is dt
+        assert dtype_of(dt.np_dtype.type) is dt
+
+    @pytest.mark.parametrize("np_dtype", [np.int64, np.bool_, np.int16,
+                                          np.dtype(">i4")])
+    def test_other_dtypes_fall_back_to_int(self, np_dtype):
+        assert dtype_of(np_dtype) is INT

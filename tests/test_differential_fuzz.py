@@ -42,8 +42,19 @@ _CUDA_OPS = ("alu", "gread", "gwrite", "swrite", "sread", "atomic",
 #: warp collectives — exactly the sanitizer's divergence rule).
 _CUDA_BRANCH_SAFE = ("alu", "gread", "gwrite", "swrite", "sread",
                      "atomic")
-_ATOMIC_KINDS = ("atomic_add", "atomic_max", "atomic_min", "atomic_or",
-                 "atomic_xor", "atomic_exch")
+_ATOMIC_KINDS = ("atomic_add", "atomic_sub", "atomic_max", "atomic_min",
+                 "atomic_and", "atomic_or", "atomic_xor", "atomic_inc",
+                 "atomic_dec", "atomic_cas", "atomic_exch")
+#: Element type of every generated program's arrays, drawn per seed:
+#: signed and unsigned wrap-around both reach the atomics.
+_MEM_DTYPES = (np.int32, np.int64, np.uint64)
+
+
+def _atomic(t, name, var, slot, acc, val, **scope):
+    """One generated atomic; ``atomicCAS`` compares against ``acc % 3``."""
+    if name == "atomic_cas":
+        return t.atomic_cas(var, slot, acc % 3, acc % 5 + val, **scope)
+    return getattr(t, name)(var, slot, acc % 5 + val, **scope)
 
 
 def _gen_cuda_ops(rng, depth=0):
@@ -103,7 +114,7 @@ def _make_cuda_kernel(program):
             acc[0] = (acc[0] + int(v)) % 1009
         elif kind == "atomic":
             _, name, slot, val = op
-            v = yield getattr(t, name)("acc", slot, acc[0] % 5 + val)
+            v = yield _atomic(t, name, "acc", slot, acc[0], val)
             acc[0] = (acc[0] + int(v)) % 1009
         elif kind == "sync":
             yield t.syncthreads()
@@ -150,17 +161,17 @@ def _sindex(t, mode):
     return (t.threadIdx + 1) % t.blockDim
 
 
-def _run_cuda(device, program, grid, block, fast):
+def _run_cuda(device, program, grid, block, fast, dtype):
     n = grid * block
     kernel = _make_cuda_kernel(program)
     cuda = Cuda(device, fast=fast)
     return cuda.launch(
         kernel, LaunchConfig(grid, block),
-        globals_={"g0": np.arange(n, dtype=np.int64),
-                  "g1": (np.arange(n, dtype=np.int64) * 13) % 97,
-                  "acc": np.zeros(8, np.int64),
-                  "out": np.zeros(n, np.int64)},
-        shared_decls={"buf": (block, np.dtype(np.int64))})
+        globals_={"g0": np.arange(n, dtype=dtype),
+                  "g1": (np.arange(n, dtype=dtype) * 13) % 97,
+                  "acc": np.zeros(8, dtype),
+                  "out": np.zeros(n, dtype)},
+        shared_decls={"buf": (block, np.dtype(dtype))})
 
 
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
@@ -169,8 +180,9 @@ def test_cuda_fast_path_matches_reference(mini_gpu, seed):
     program = _gen_cuda_ops(rng)
     grid = rng.choice((1, 2))
     block = rng.choice((32, 64))
-    fast = _run_cuda(mini_gpu, program, grid, block, fast=True)
-    ref = _run_cuda(mini_gpu, program, grid, block, fast=False)
+    dtype = rng.choice(_MEM_DTYPES)
+    fast = _run_cuda(mini_gpu, program, grid, block, True, dtype)
+    ref = _run_cuda(mini_gpu, program, grid, block, False, dtype)
     assert fast.elapsed_cycles == ref.elapsed_cycles, f"seed {seed}"
     assert fast.block_cycles == ref.block_cycles, f"seed {seed}"
     assert fast.stats == ref.stats, f"seed {seed}"
@@ -190,11 +202,12 @@ def test_cuda_dispatcher_forced_matches_reference(mini_gpu, seed):
     program = _gen_cuda_ops(rng)
     grid = rng.choice((1, 2))
     block = rng.choice((32, 64))
-    ref = _run_cuda(mini_gpu, program, grid, block, fast=False)
+    dtype = rng.choice(_MEM_DTYPES)
+    ref = _run_cuda(mini_gpu, program, grid, block, False, dtype)
     with dispatch_forced():
-        cold = _run_cuda(mini_gpu, program, grid, block, fast=True)
+        cold = _run_cuda(mini_gpu, program, grid, block, True, dtype)
         hits = counter_value("dispatch.hit")
-        warm = _run_cuda(mini_gpu, program, grid, block, fast=True)
+        warm = _run_cuda(mini_gpu, program, grid, block, True, dtype)
     assert counter_value("dispatch.hit") > hits, \
         f"seed {seed}: identical relaunch did not replay"
     for label, result in (("cold", cold), ("warm", warm)):
@@ -218,8 +231,7 @@ def test_cuda_dispatcher_forced_matches_reference(mini_gpu, seed):
 _MG_OPS = ("alu", "dread", "dwrite", "sysread", "syswrite",
            "sysatomic", "devatomic", "fence", "fence_sys",
            "grid_sync", "multi_grid_sync")
-_MG_ATOMICS = ("atomic_add", "atomic_max", "atomic_min", "atomic_or",
-               "atomic_xor", "atomic_exch")
+_MG_ATOMICS = _ATOMIC_KINDS
 
 #: Fixed-seed multi-device corpus size (ISSUE floor: >= 25).
 N_MG_PROGRAMS = 25
@@ -285,8 +297,8 @@ def _make_mg_kernel(program, salt=0):
                 _, name, slot, val = op
                 scope = Scope.SYSTEM if kind == "sysatomic" \
                     else Scope.DEVICE
-                v = yield getattr(t, name)("acc", slot,
-                                           acc % 5 + val, scope=scope)
+                v = yield _atomic(t, name, "acc", slot, acc, val,
+                                  scope=scope)
                 acc = (acc + int(v)) % 1009
             elif kind == "fence":
                 yield t.threadfence()
@@ -301,17 +313,18 @@ def _make_mg_kernel(program, salt=0):
     return kernel
 
 
-def _mg_system(n_total):
-    return {"s0": np.arange(n_total, dtype=np.int64),
-            "s1": (np.arange(n_total, dtype=np.int64) * 13) % 97,
-            "acc": np.zeros(8, np.int64),
-            "out": np.zeros(n_total, np.int64)}
+def _mg_system(n_total, dtype):
+    return {"s0": np.arange(n_total, dtype=dtype),
+            "s1": (np.arange(n_total, dtype=dtype) * 13) % 97,
+            "acc": np.zeros(8, dtype),
+            "out": np.zeros(n_total, dtype)}
 
 
-def _run_mg(runtime, kernel, grid, block, n_total):
+def _run_mg(runtime, kernel, grid, block, n_total, dtype):
     return runtime.launch(
-        kernel, LaunchConfig(grid, block), system=_mg_system(n_total),
-        device_globals={"d0": (grid * block, np.dtype(np.int64))})
+        kernel, LaunchConfig(grid, block),
+        system=_mg_system(n_total, dtype),
+        device_globals={"d0": (grid * block, np.dtype(dtype))})
 
 
 #: Changes made between the two launches of one multi-device seed,
@@ -345,12 +358,13 @@ def test_multigpu_replay_matches_reference(mini_gpu, monkeypatch, seed):
     grid = rng.choice((1, 2))
     block = rng.choice((8, 16))
     n_devices = rng.choice((2, 3))
+    dtype = rng.choice(_MEM_DTYPES)
     n_total = n_devices * grid * block
     kernel = _make_mg_kernel(program)
     multi = MultiGpu(mini_gpu)
     runtime = MultiCuda(multi, n_devices=n_devices)
 
-    first = _run_mg(runtime, kernel, grid, block, n_total)
+    first = _run_mg(runtime, kernel, grid, block, n_total, dtype)
     change = _MG_CHANGES[seed % len(_MG_CHANGES)]
     if change == "global":
         monkeypatch.setitem(globals(), "_MG_SALT", 1)
@@ -361,10 +375,10 @@ def test_multigpu_replay_matches_reference(mini_gpu, monkeypatch, seed):
         multi.interconnect = replace(
             multi.interconnect,
             latency_cycles=2 * multi.interconnect.latency_cycles)
-    relaunch = _run_mg(runtime, kernel, grid, block, n_total)
+    relaunch = _run_mg(runtime, kernel, grid, block, n_total, dtype)
     fresh = MultiCuda(MultiGpu(mini_gpu, interconnect=multi.interconnect),
                       n_devices=n_devices)
-    ref = _run_mg(fresh, kernel, grid, block, n_total)
+    ref = _run_mg(fresh, kernel, grid, block, n_total, dtype)
 
     assert _mg_outcome_bytes(relaunch) != _mg_outcome_bytes(first), \
         f"seed {seed}: the {change} change did not alter the launch"

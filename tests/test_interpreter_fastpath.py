@@ -18,12 +18,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-import repro.cuda.fastpath as cuda_fastpath
 import repro.openmp.fastpath as omp_fastpath
 from repro.common.errors import SimulationError
 from repro.core.engine import reference_engine
 from repro.cuda.interpreter import Cuda
 from repro.gpu.spec import LaunchConfig
+from repro.obs.metrics import counter_value
 from repro.openmp.interpreter import OpenMP
 from repro.workloads.bfs import gpu_bfs, random_graph
 from repro.workloads.histogram import cpu_histogram, gpu_histogram
@@ -89,20 +89,20 @@ class TestCudaEquivalence:
             return {"a": np.arange(128, dtype=np.int64),
                     "b": np.zeros(128, np.int64)}
 
-        before = cuda_fastpath.UNIFORM_PASSES
+        before = counter_value("interp.cuda.uniform_passes")
         _launch_both(mini_gpu, kernel, LaunchConfig(2, 64), make,
                      trace=True)
-        assert cuda_fastpath.UNIFORM_PASSES > before
+        assert counter_value("interp.cuda.uniform_passes") > before
 
     def test_reference_path_never_batches(self, mini_gpu):
         def kernel(t):
             yield t.global_write("out", t.global_id, 1)
 
-        before = cuda_fastpath.UNIFORM_PASSES
+        before = counter_value("interp.cuda.uniform_passes")
         out = np.zeros(64, np.int64)
         Cuda(mini_gpu, fast=False).launch(
             kernel, LaunchConfig(1, 64), globals_={"out": out})
-        assert cuda_fastpath.UNIFORM_PASSES == before
+        assert counter_value("interp.cuda.uniform_passes") == before
         assert out.sum() == 64
 
     def test_divergent_kernel(self, mini_gpu):
