@@ -480,11 +480,11 @@ def vector_operands(values, dtype: np.dtype) -> np.ndarray:
 def atomic_mode(cls: type[AtomicRmw], dtype: np.dtype, n_lanes: int,
                 n_addresses: int) -> str:
     """How :func:`apply_atomics` runs one warp pass's atomic group:
-    ``"d"`` when every lane targets its own address (one gather, one
-    vector update, one scatter), ``"i"`` for colliding integer add/sub
-    (one load and one store per address), else ``"s"``: serial in lane
-    order, one load and one store per lane."""
-    if n_addresses == n_lanes:
+    ``"d"`` when two or more lanes each target their own address (one
+    gather, one vector update, one scatter), ``"i"`` for colliding
+    integer add/sub (one load and one store per address), else ``"s"``:
+    serial in lane order, one load and one store per lane."""
+    if n_addresses == n_lanes > 1:
         return "d"
     if cls in _RUNNING and dtype.kind in "iu":
         return "i"
@@ -528,14 +528,14 @@ def apply_atomics(cls: type[AtomicRmw], flat: np.ndarray, idx, values,
         for i, v, c in zip(idx, values, compares):
             old = get(i)
             if old is None:
-                old = flat[i].item()
+                old = flat.item(i)
             olds.append(old)
             running[i] = result(scalar(old, v, c))
         for i, new in running.items():
             flat[i] = new
         return olds
     for i, v, c in zip(idx, values, compares):
-        old = flat[i].item()
+        old = flat.item(i)
         olds.append(old)
         new = scalar(old, v, c)
         try:

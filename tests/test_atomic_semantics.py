@@ -130,7 +130,6 @@ def _concrete_requests():
 
 def test_every_request_class_has_its_table_entry():
     classes = _concrete_requests()
-    assert len(classes) == 37
     for cls in classes:
         if cls in _UNPRICED:
             assert cls.kind is None, cls.__name__
