@@ -117,6 +117,7 @@ class Threadfence(Request):
 
     @property
     def kind(self) -> PrimitiveKind:
+        """The fence variant this scope selects."""
         return FENCE_KINDS[self.scope]
 
 
