@@ -281,8 +281,7 @@ def _interp_omp_histogram():
     from repro.cpu.presets import cpu_preset
     from repro.workloads.histogram import cpu_histogram
     data = (np.arange(1600, dtype=np.int64) * 271) % 32
-    out = cpu_histogram(cpu_preset(1), data, 32, strategy="atomic",
-                        detect_races=False)
+    out = cpu_histogram(cpu_preset(1), data, 32, strategy="atomic")
     return (out.elapsed, out.correct, out.bins.tobytes())
 
 
@@ -291,7 +290,7 @@ def _interp_omp_prefix_sum():
     from repro.cpu.presets import cpu_preset
     from repro.workloads.prefix_sum import cpu_prefix_sum
     data = (np.arange(1600, dtype=np.int64) * 31) % 100
-    out = cpu_prefix_sum(cpu_preset(1), data, detect_races=False)
+    out = cpu_prefix_sum(cpu_preset(1), data)
     return (out.elapsed, out.correct, out.values.tobytes())
 
 

@@ -22,20 +22,23 @@ overhead:
   flat views and dtype lookups — instead of the per-request machinery.
 * **Hoisted observability.**  The trace check is resolved once per
   region into the cost-charging closure, so ``trace=False`` costs
-  nothing per request.  Race detection needs to observe every access, so
-  :meth:`OpenMP.parallel` routes detector-enabled regions to the
-  reference scheduler before this module is ever involved.
+  nothing per request.  The race-detector check is resolved the same
+  way into the contention-classifying closure: a detecting region
+  records every access at the reference's point (after validation and
+  classification, before the charge and the memory effect), in the
+  reference's execution order, and a detection-off region makes no
+  per-access detector call.
 
 Mixed rounds, lock traffic, barriers/singles/criticals, and every error
 case run through the same logic as the reference sweep (partly by
 calling :meth:`OpenMP._execute` itself), so results — memory, clocks,
-elapsed time, barrier/request counts, trace events, and error messages —
-are identical.  ``tests/test_interpreter_fastpath.py`` pins that down.
+elapsed time, barrier/request counts, trace events, error messages
+and race verdicts — are identical.  ``tests/test_interpreter_fastpath.py``
+and the OpenMP differential fuzz pin that down.
 
 The public ``interp.omp.uniform_rounds`` counter (:mod:`repro.obs`)
 lets the bench suite and CI smoke checks assert the batched dispatcher
-actually ran.  The module-level :data:`UNIFORM_ROUNDS` global is its
-backward-compatible twin.
+actually ran.
 """
 
 from __future__ import annotations
@@ -51,15 +54,10 @@ from repro.compiler.ops import Op, PrimitiveKind
 from repro.mem.layout import PrivateArrayElement, SharedScalar
 from repro.openmp import requests as rq
 from repro.openmp.interpreter import ParallelResult, ThreadContext
+from repro.openmp.race import AccessKind, RaceDetector
 from repro.openmp.trace import CpuTrace
 from repro.obs.metrics import _SUBSCRIBER as _metric_subscriber
 from repro.obs.metrics import counter as _counter
-
-#: Uniform rounds executed by the batched scheduler since import.
-#: Monotonic; sample before/after a run to see whether it was used.
-#: Kept for backward compatibility — new code should read the
-#: ``interp.omp.uniform_rounds`` counter from :mod:`repro.obs` instead.
-UNIFORM_ROUNDS = 0
 
 # Observability counters (docs/observability.md).  Scheduler rounds are
 # accumulated locally per region and flushed once at region end; the
@@ -76,6 +74,13 @@ _STOP = object()
 
 #: Sentinel: the thread was not sendable during the gather.
 _NOTHING = object()
+
+#: Detector kinds of a request class: (unlocked, under a held lock).
+#: Atomics are atomic whether or not the thread holds a lock.
+_READ_KINDS = (AccessKind.PLAIN_READ, AccessKind.LOCKED_READ)
+_WRITE_KINDS = (AccessKind.PLAIN_WRITE, AccessKind.LOCKED_WRITE)
+_ATOMIC_READ_KINDS = (AccessKind.ATOMIC_READ, AccessKind.ATOMIC_READ)
+_ATOMIC_WRITE_KINDS = (AccessKind.ATOMIC_WRITE, AccessKind.ATOMIC_WRITE)
 
 
 def make_cost_model(machine, ctx):
@@ -121,11 +126,10 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
     """Run a parallel region with batched uniform-round dispatch.
 
     Mirrors :meth:`OpenMP._parallel_reference` exactly — same memory
-    effects, clocks, counters, trace, and errors.  Only called with race
-    detection off (the dispatcher in :meth:`OpenMP.parallel` guarantees
-    it).
+    effects, clocks, counters, trace, errors, and race verdicts (the
+    region runs the same :class:`RaceDetector` when ``omp.detect_races``
+    is set).
     """
-    global UNIFORM_ROUNDS
     machine = omp.machine
     ctx = omp._ctx
     n = omp.n_threads
@@ -133,6 +137,8 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
 
     memory: dict[str, np.ndarray] = dict(shared or {})
     trace_obj = CpuTrace() if trace else None
+    detector = RaceDetector(raise_on_race=not omp.collect_races) \
+        if omp.detect_races else None
     contexts = [ThreadContext(tid, n) for tid in range(n)]
     gens = [body(tc) for tc in contexts]
     sends = [g.send for g in gens]
@@ -181,11 +187,25 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
 
     mem_cost, plain_cost = make_cost_model(machine, ctx)
 
-    def classify(var: str, idx: int, tid: int) -> bool:
-        """Contention classification, identical to ``_cost_target``."""
-        touched = location_threads.setdefault((var, idx), set())
-        touched.add(tid)
-        return len(touched) > 1
+    # Detector check hoisted out of the per-request path: the
+    # classifying closure, called at the reference's recording point,
+    # is picked once per region.  ``kinds`` is the request's (unlocked,
+    # locked) detector kind pair.
+    if detector is None:
+        def classify(var: str, idx: int, tid: int, kinds) -> bool:
+            """Contention classification, identical to ``_cost_target``."""
+            touched = location_threads.setdefault((var, idx), set())
+            touched.add(tid)
+            return len(touched) > 1
+    else:
+        record = detector.record
+
+        def classify(var: str, idx: int, tid: int, kinds) -> bool:
+            """Classify as ``_cost_target`` does, then ``_record``."""
+            touched = location_threads.setdefault((var, idx), set())
+            touched.add(tid)
+            record(tid, var, idx, kinds[1] if held_locks[tid] else kinds[0])
+            return len(touched) > 1
 
     # Trace check hoisted out of the per-request path: the charging
     # closure is picked once per region.
@@ -240,7 +260,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
         for tid, r in zip(tids, reqs):
             var, idx = r.var, r.idx
             flat = validate(tid, var, idx)
-            contended = classify(var, idx, tid)
+            contended = classify(var, idx, tid, _READ_KINDS)
             charge_cost(tid, mem_cost(PLAIN_READ, var_dtype(var),
                                       contended), PLAIN_READ)
             if relaxed:
@@ -254,7 +274,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
         for tid, r in zip(tids, reqs):
             var, idx = r.var, r.idx
             flat = validate(tid, var, idx)
-            contended = classify(var, idx, tid)
+            contended = classify(var, idx, tid, _WRITE_KINDS)
             charge_cost(tid, mem_cost(PLAIN_UPDATE, var_dtype(var),
                                       contended), PLAIN_UPDATE)
             if relaxed:
@@ -269,7 +289,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             var, idx = r.var, r.idx
             flat = validate(tid, var, idx)
             dtype = r.dtype if r.dtype is not None else var_dtype(var)
-            contended = classify(var, idx, tid)
+            contended = classify(var, idx, tid, _ATOMIC_READ_KINDS)
             charge_cost(tid, mem_cost(ATOMIC_READ, dtype, contended),
                         ATOMIC_READ)
             pending[tid] = flat[idx].item()
@@ -281,7 +301,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             var, idx = r.var, r.idx
             flat = validate(tid, var, idx)
             dtype = r.dtype if r.dtype is not None else var_dtype(var)
-            contended = classify(var, idx, tid)
+            contended = classify(var, idx, tid, _ATOMIC_WRITE_KINDS)
             charge_cost(tid, mem_cost(ATOMIC_WRITE, dtype, contended),
                         ATOMIC_WRITE)
             flat[idx] = r.value
@@ -293,7 +313,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             var, idx = r.var, r.idx
             flat = validate(tid, var, idx)
             dtype = r.dtype if r.dtype is not None else var_dtype(var)
-            contended = classify(var, idx, tid)
+            contended = classify(var, idx, tid, _ATOMIC_WRITE_KINDS)
             charge_cost(tid, mem_cost(ATOMIC_UPDATE, dtype, contended),
                         ATOMIC_UPDATE)
             flat[idx] = r.func(flat[idx].item())
@@ -305,7 +325,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             var, idx = r.var, r.idx
             flat = validate(tid, var, idx)
             dtype = r.dtype if r.dtype is not None else var_dtype(var)
-            contended = classify(var, idx, tid)
+            contended = classify(var, idx, tid, _ATOMIC_WRITE_KINDS)
             charge_cost(tid, mem_cost(ATOMIC_CAPTURE, dtype, contended),
                         ATOMIC_CAPTURE)
             old = flat[idx].item()
@@ -347,6 +367,11 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             executor = min(t for t in range(n) if not done[t])
             request = single_requests[executor]
             assert request is not None
+            if detector is not None:
+                for var, idx, is_write in request.touches:
+                    detector.record(executor, var, idx,
+                                    AccessKind.LOCKED_WRITE if is_write
+                                    else AccessKind.LOCKED_READ)
             pending[executor] = request.func(memory)
         barrier_cost = plain_cost(PrimitiveKind.OMP_BARRIER)
         arrive_time = max(clocks)
@@ -359,6 +384,8 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             clocks[t] = sync_time
             arrival[t] = None
             single_requests[t] = None
+        if detector is not None:
+            detector.barrier()
         location_threads.clear()
 
     def handle_inline(tid: int, request) -> None:
@@ -405,7 +432,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             drain(tid)
         buffer = store_buffers[tid] if relaxed else None
         pending[tid] = omp._execute(
-            request, tid, memory, None, location_threads, charge_op,
+            request, tid, memory, detector, location_threads, charge_op,
             locked=bool(held_locks[tid]), buffer=buffer)
 
     def finish(tid: int) -> None:
@@ -416,7 +443,10 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
                 f"lock(s) {sorted(held_locks[tid])}")
         done[tid] = True
 
-    uniform_start = UNIFORM_ROUNDS
+    # Counted at entry, as the reference counts its regions, so a region
+    # that raises (a race, a deadlock) is still seen.
+    _C_REGIONS_FAST.add(1)
+    n_uniform = 0
     n_fallback = 0
     while not all(done):
         # Gather: one send per runnable thread.  Bodies cannot observe
@@ -456,7 +486,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
                 handler = handlers_get(cls)
                 if handler is not None:
                     handler(tids, reqs)
-                    UNIFORM_ROUNDS += 1
+                    n_uniform += 1
                     continue
 
         # Mixed round: walk every thread slot in id order, replaying the
@@ -511,16 +541,13 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
                 "deadlock: no thread can make progress")
 
     # Implicit barrier at region end: publish everything.
-    n_uniform = UNIFORM_ROUNDS - uniform_start
     if _metric_subscriber[0] is None:
         # No recorder: direct increments keep the per-region flush
         # within the bench regression gate's noise floor.
-        _C_REGIONS_FAST.value += 1
         _C_UNIFORM.value += n_uniform
         _C_FALLBACK.value += n_fallback
         _C_ROUNDS.value += n_uniform + n_fallback
     else:
-        _C_REGIONS_FAST.add(1)
         if n_uniform:
             _C_UNIFORM.add(n_uniform)
         if n_fallback:
@@ -535,7 +562,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
         memory=memory,
         thread_times_ns=clocks,
         elapsed_ns=elapsed,
-        races=[],
+        races=list(detector.races) if detector is not None else [],
         barriers=barriers,
         requests=budget.used,
         trace=trace_obj,

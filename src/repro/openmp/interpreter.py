@@ -169,8 +169,8 @@ class OpenMP:
         max_steps: Interpreter step budget (guards against runaway bodies).
         fast: Force the batched fast scheduler on/off; ``None`` follows
             the process default (fast unless ``SYNCPERF_ENGINE=reference``
-            or inside :func:`repro.core.engine.reference_engine`).  Race
-            detection always runs on the reference scheduler.
+            or inside :func:`repro.core.engine.reference_engine`).  Both
+            schedulers run the race detector with identical verdicts.
         lint: Opt-in static sanitizer check before each region.
             ``True`` or ``"error"`` raises
             :class:`~repro.common.errors.SanitizerError` when
@@ -213,8 +213,10 @@ class OpenMP:
 
         Dispatches to the batched fast scheduler
         (:func:`repro.openmp.fastpath.parallel_fast`) when ``fast`` is
-        enabled and no race detector is active; the scalar reference
-        scheduler below is authoritative and produces identical results.
+        enabled; the scalar reference scheduler below is authoritative
+        and produces identical results, race verdicts included.  Only a
+        detection-off region consults the dispatch tiers (region replay
+        and lifted region plans): a replay cannot reproduce a verdict.
 
         Args:
             body: Generator function over a :class:`ThreadContext`.
@@ -231,16 +233,16 @@ class OpenMP:
             from repro.sanitize import lint_kernel
             lint_kernel(body, "openmp", self.lint)
         with obs_span("omp.parallel", n_threads=self.n_threads,
-                      path="fast" if self.fast and not self.detect_races
-                      else "reference"):
-            if self.fast and not self.detect_races:
+                      path="fast" if self.fast else "reference"):
+            if self.fast:
                 # The dispatcher memoizes whole regions per (body,
                 # machine, config, memory-contents) signature; replay
                 # hits skip the scheduler entirely.  Identical replay
                 # requires identical inputs, so a trace request opts
-                # out (the timeline object cannot be replayed).
+                # out (the timeline object cannot be replayed), and so
+                # does a detecting region (nor can a race verdict).
                 ticket = None
-                if not trace:
+                if not (trace or self.detect_races):
                     from repro.compiler.dispatcher import DISPATCHER
                     ticket = DISPATCHER.begin_omp(self, body, shared)
                 result = ticket.replay() if ticket is not None else None

@@ -30,6 +30,11 @@ class AccessKind(enum.Enum):
     LOCKED_READ = "locked_read"
     LOCKED_WRITE = "locked_write"
 
+    # Members are singletons, so identity hashing is exact; it runs in C,
+    # where Enum's default hashes the name in Python on every dict lookup
+    # the detector makes.
+    __hash__ = object.__hash__
+
     @property
     def is_write(self) -> bool:
         return self in (AccessKind.PLAIN_WRITE, AccessKind.ATOMIC_WRITE,
@@ -79,9 +84,25 @@ def _conflicts(a: AccessKind, b: AccessKind) -> bool:
     return True
 
 
+#: For each access kind, the earlier kinds it races with from another
+#: thread, in declaration order (a precomputed :func:`_conflicts` row).
+_CONFLICTING: dict[AccessKind, tuple[AccessKind, ...]] = {
+    kind: tuple(prev for prev in AccessKind if _conflicts(prev, kind))
+    for kind in AccessKind}
+
+
 @dataclass
 class RaceDetector:
     """Epoch-based race detector.
+
+    Each location keeps its epoch history — the distinct ``(thread,
+    kind)`` pairs in first-access order — beside a summary mapping each
+    kind to the threads that made it, and its sole thread while only one
+    thread has touched it.  A new access from the sole thread cannot
+    race; any other consults the summary and walks the history only when
+    another thread made a conflicting kind.  So a race-free access costs
+    a few dict lookups however many threads share the location, and the
+    walk still reports the first conflicting entry in history order.
 
     Attributes:
         raise_on_race: Raise :class:`DataRaceError` at the first race when
@@ -91,13 +112,44 @@ class RaceDetector:
     raise_on_race: bool = True
     races: list[RaceReport] = field(default_factory=list)
     _epoch: int = 0
-    _accesses: dict[tuple[str, int], list[tuple[int, AccessKind]]] = \
-        field(default_factory=dict)
+    #: location -> [sole thread or None, history, kind -> thread ids
+    #: (built when a second thread arrives)]
+    _accesses: dict[tuple[str, int], list] = field(default_factory=dict)
 
     def record(self, tid: int, var: str, idx: int, kind: AccessKind) -> None:
         """Record one access and check it against this epoch's history."""
-        key = (var, idx)
-        history = self._accesses.setdefault(key, [])
+        entry = self._accesses.get((var, idx))
+        if entry is None:
+            self._accesses[(var, idx)] = [tid, [(tid, kind)], None]
+            return
+        sole, history, by_kind = entry
+        if sole == tid:
+            # Only this thread has been here: no race; dedup the history.
+            if (tid, kind) not in history:
+                history.append((tid, kind))
+            return
+        if by_kind is None:
+            # A second thread arrives: summarize the sole thread's kinds.
+            entry[0] = None
+            by_kind = entry[2] = {k: {sole} for _, k in history}
+        for prev_kind in _CONFLICTING[kind]:
+            tids = by_kind.get(prev_kind)
+            if tids and (len(tids) > 1 or tid not in tids):
+                self._report(history, tid, var, idx, kind)
+                break
+        # Deduplicate: one entry per (thread, kind) pair per location.
+        tids = by_kind.get(kind)
+        if tids is None:
+            by_kind[kind] = {tid}
+        elif tid in tids:
+            return
+        else:
+            tids.add(tid)
+        history.append((tid, kind))
+
+    def _report(self, history: list[tuple[int, AccessKind]], tid: int,
+                var: str, idx: int, kind: AccessKind) -> None:
+        """Report the race against the first conflicting history entry."""
         for prev_tid, prev_kind in history:
             if prev_tid != tid and _conflicts(prev_kind, kind):
                 report = RaceReport(var=var, idx=idx,
@@ -106,10 +158,7 @@ class RaceDetector:
                 if self.raise_on_race:
                     raise DataRaceError(str(report))
                 self.races.append(report)
-                break
-        # Deduplicate: one entry per (thread, kind) pair per location.
-        if (tid, kind) not in history:
-            history.append((tid, kind))
+                return
 
     def barrier(self) -> None:
         """A barrier happened: all prior accesses are ordered before all

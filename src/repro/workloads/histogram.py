@@ -59,9 +59,9 @@ def cpu_histogram(machine: CpuMachine, data: np.ndarray, n_bins: int,
     """Histogram ``data`` (ints in [0, n_bins)) on the OpenMP layer.
 
     Args:
-        detect_races: Run the race detector (the default).  Turning it
-            off lets the interpreter use its batched fast scheduler —
-            the benchmark suite does this to time the workload.
+        detect_races: Run the race detector (the default).  Both
+            settings run the batched fast scheduler; turning detection
+            off also lets repeated regions use the dispatch tiers.
     """
     if strategy not in ("atomic", "privatized"):
         raise ConfigurationError(f"unknown CPU strategy {strategy!r}")

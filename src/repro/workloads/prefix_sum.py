@@ -141,9 +141,9 @@ def cpu_prefix_sum(machine: CpuMachine, data: np.ndarray,
     """Two-level inclusive scan on the OpenMP layer.
 
     Args:
-        detect_races: Run the race detector (the default).  Turning it
-            off lets the interpreter use its batched fast scheduler —
-            the benchmark suite does this to time the workload.
+        detect_races: Run the race detector (the default).  Both
+            settings run the batched fast scheduler; turning detection
+            off also lets repeated regions use the dispatch tiers.
     """
     n = int(data.size)
     per_thread = -(-n // n_threads) if n else 1

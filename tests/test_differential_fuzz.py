@@ -13,7 +13,9 @@ classes are deliberately *not* generated): barriers and collectives
 are emitted only at top level, thread-dependent branches only wrap
 non-collective ops, loops have uniform trip counts, and lock
 acquisitions are emitted as properly nested pairs in a fixed global
-order.
+order.  The one exception is data races in OpenMP programs: they are
+generated on purpose, so that the race detector — on by default — is
+fuzzed on both schedulers too.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.common.errors import DataRaceError
 from repro.compiler.dispatcher import dispatch_forced
 from repro.cuda.interpreter import Cuda
 from repro.gpu.spec import LaunchConfig
@@ -388,8 +391,10 @@ def test_multigpu_replay_matches_reference(mini_gpu, monkeypatch, seed):
 
 # -------------------------- OpenMP programs -------------------------- #
 
-_OMP_OPS = ("read", "write", "atomic_update", "atomic_write",
-            "atomic_capture", "flush", "barrier", "critical", "lock")
+_OMP_OPS = ("read", "write", "atomic_read", "atomic_update",
+            "atomic_write", "atomic_capture", "flush", "barrier",
+            "single", "critical", "lock", "shared_write", "racy_read",
+            "mixed")
 
 
 def _gen_omp_ops(rng):
@@ -399,16 +404,33 @@ def _gen_omp_ops(rng):
         if kind in ("read", "write"):
             ops.append((kind, rng.choice(("a", "b")),
                         rng.choice(("tid", "const")), rng.randint(0, 7)))
-        elif kind in ("atomic_update", "atomic_write", "atomic_capture"):
+        elif kind in ("atomic_read", "atomic_update", "atomic_write",
+                      "atomic_capture"):
             ops.append((kind, rng.randint(0, 3), rng.randint(1, 4)))
-        elif kind in ("flush", "barrier", "critical"):
+        elif kind == "shared_write":
+            # Every thread stores to one shared element; unlocked, a race.
+            ops.append((kind, rng.choice(("a", "b")), rng.randint(0, 7)))
+        elif kind == "mixed":
+            # An atomic access, then a plain one to the same acc slot.
+            ops.append((kind, rng.choice(("atomic_read", "atomic_update",
+                                          "atomic_write", "atomic_capture")),
+                        rng.randint(0, 3), rng.randint(1, 4)))
+        elif kind in ("flush", "barrier", "single", "critical",
+                      "racy_read"):
             ops.append((kind,))
         elif kind == "lock":
             # Properly nested pair around a few plain accesses, always
-            # the same lock name: imbalance- and cycle-free.
-            inner = [("read", "a", "tid", 0),
-                     ("write", "a", "tid", rng.randint(1, 4))]
-            ops.append(("lock", inner[:rng.randint(1, 2)]))
+            # the same lock name: imbalance- and cycle-free.  A
+            # master-only pair lets the holder's accesses share a round
+            # with the other threads' unlocked ones.  The accesses are
+            # thread-private or to a shared element the lock orders.
+            if rng.random() < 0.5:
+                inner = [("read", "a", "tid", 0),
+                         ("write", "a", "tid", rng.randint(1, 4))]
+            else:
+                inner = [("read", "a", "const", 0), ("shared_write", "a", 0)]
+            ops.append(("lock", inner[:rng.randint(1, 2)],
+                        rng.random() < 0.5))
     return ops
 
 
@@ -425,6 +447,25 @@ def _make_omp_body(program):
             # sanitizer's static-race class; keep them thread-private.
             idx = tc.tid if op[2] == "const" else idx
             yield tc.write(op[1], idx, acc[0] + op[3])
+        elif kind == "shared_write":
+            yield tc.write(op[1], op[2], acc[0])
+        elif kind == "racy_read":
+            # Reads the critical section's counter outside it.
+            v = yield tc.read("c", 0)
+            acc[0] = (acc[0] + int(v)) % 1009
+        elif kind == "mixed":
+            # Races the other threads' atomic access: a plain write
+            # after an atomic read, a plain read after an atomic write.
+            _, atomic, slot, val = op
+            yield from run_op(tc, (atomic, slot, val), acc)
+            if atomic == "atomic_read":
+                yield tc.write("acc", slot, acc[0])
+            else:
+                v = yield tc.read("acc", slot)
+                acc[0] = (acc[0] + int(v)) % 1009
+        elif kind == "atomic_read":
+            v = yield tc.atomic_read("acc", op[1])
+            acc[0] = (acc[0] + int(v)) % 1009
         elif kind == "atomic_update":
             _, slot, val = op
             yield tc.atomic_update("acc", slot, lambda v: v + val)
@@ -440,11 +481,19 @@ def _make_omp_body(program):
             yield tc.flush()
         elif kind == "barrier":
             yield tc.barrier()
+        elif kind == "single":
+            # Its touch of c races an unguarded access to c earlier in
+            # the epoch.
+            yield tc.single(
+                lambda mem: mem["c"].__setitem__(0, mem["c"][0] + 2),
+                touches=(("c", 0, True),))
         elif kind == "critical":
             yield tc.critical(
                 lambda mem: mem["c"].__setitem__(0, mem["c"][0] + 1),
                 touches=(("c", 0, True),))
         elif kind == "lock":
+            if op[2] and not tc.is_master:
+                return
             yield tc.lock_acquire("l")
             for sub in op[1]:
                 yield from run_op(tc, sub, acc)
@@ -459,17 +508,21 @@ def _make_omp_body(program):
     return body
 
 
-def _run_omp(machine, program, n_threads, fast):
+def _omp_shared(n_threads):
+    return {"a": np.arange(16, dtype=np.int64),
+            "b": (np.arange(16, dtype=np.int64) * 7) % 31,
+            "acc": np.zeros(4, np.int64),
+            "c": np.zeros(1, np.int64),
+            "out": np.zeros(n_threads, np.int64)}
+
+
+def _run_omp(machine, program, n_threads, fast, shared=None,
+             detect_races=False, collect_races=False):
     body = _make_omp_body(program)
-    omp = OpenMP(machine, n_threads=n_threads, detect_races=False,
-                 fast=fast)
+    omp = OpenMP(machine, n_threads=n_threads, detect_races=detect_races,
+                 collect_races=collect_races, fast=fast)
     return omp.parallel(
-        body,
-        shared={"a": np.arange(16, dtype=np.int64),
-                "b": (np.arange(16, dtype=np.int64) * 7) % 31,
-                "acc": np.zeros(4, np.int64),
-                "c": np.zeros(1, np.int64),
-                "out": np.zeros(n_threads, np.int64)})
+        body, shared=_omp_shared(n_threads) if shared is None else shared)
 
 
 @pytest.mark.parametrize("seed", range(N_PROGRAMS))
@@ -515,6 +568,52 @@ def test_openmp_dispatcher_forced_matches_reference(quiet_cpu, seed):
             assert result.memory[name].tobytes() == \
                 ref.memory[name].tobytes(), \
                 f"seed {seed} ({label}): {name}"
+
+
+def _detecting_outcome(machine, program, n_threads, fast, collect):
+    """Everything a detecting region shows: in collect mode the race
+    reports, clocks and counts; in raise mode the error message.  Both
+    with the shared memory as it stood at the end or at the raise."""
+    shared = _omp_shared(n_threads)
+    try:
+        result = _run_omp(machine, program, n_threads, fast, shared,
+                          detect_races=True, collect_races=collect)
+        shown = (str(result.races), result.elapsed_ns,
+                 result.thread_times_ns, result.barriers, result.requests)
+    except DataRaceError as exc:
+        assert not collect, "collect mode raised"
+        shown = ("raised", str(exc))
+    return shown, [(name, arr.tobytes())
+                   for name, arr in sorted(shared.items())]
+
+
+@pytest.mark.parametrize("mode", ("collect", "raise"))
+@pytest.mark.parametrize("seed", range(N_PROGRAMS))
+def test_openmp_detecting_fast_path_matches_reference(quiet_cpu, seed,
+                                                      mode):
+    """With the race detector on (the default), the fast scheduler
+    reports the reference's races, or raises its error, byte for byte."""
+    rng = random.Random(2000 + seed)
+    program = _gen_omp_ops(rng)
+    n_threads = rng.choice((2, 4))
+    collect = mode == "collect"
+    fast = _detecting_outcome(quiet_cpu, program, n_threads, True, collect)
+    ref = _detecting_outcome(quiet_cpu, program, n_threads, False, collect)
+    assert fast == ref, f"seed {seed} ({mode})"
+
+
+def test_openmp_fuzz_corpus_races_often(quiet_cpu):
+    """The detection-on fuzz means little unless many programs race:
+    at least a third of the corpus must report a race."""
+    racy = 0
+    for seed in range(N_PROGRAMS):
+        rng = random.Random(2000 + seed)
+        program = _gen_omp_ops(rng)
+        n_threads = rng.choice((2, 4))
+        result = _run_omp(quiet_cpu, program, n_threads, fast=False,
+                          detect_races=True, collect_races=True)
+        racy += bool(result.races)
+    assert racy * 3 >= N_PROGRAMS, f"only {racy}/{N_PROGRAMS} race"
 
 
 # ------------------- OpenMP lifted tier (tier 1) --------------------- #

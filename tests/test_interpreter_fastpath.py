@@ -18,8 +18,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-import repro.openmp.fastpath as omp_fastpath
-from repro.common.errors import SimulationError
+from repro.common.errors import DataRaceError, SimulationError
 from repro.core.engine import reference_engine
 from repro.cuda.interpreter import Cuda
 from repro.gpu.spec import LaunchConfig
@@ -270,6 +269,7 @@ def _parallel_both(machine, body, make_shared, n_threads=4, trace=True,
     assert fastr.thread_times_ns == refr.thread_times_ns
     assert fastr.barriers == refr.barriers
     assert fastr.requests == refr.requests
+    assert str(fastr.races) == str(refr.races)
     for name in refr.memory:
         assert fastr.memory[name].tobytes() == refr.memory[name].tobytes()
     if trace:
@@ -285,32 +285,67 @@ class TestOpenMPEquivalence:
                 yield tc.atomic_update("acc", (tc.tid + k) % 4,
                                        lambda v: v + 1)
 
-        before = omp_fastpath.UNIFORM_ROUNDS
+        before = counter_value("interp.omp.uniform_rounds")
         result = _parallel_both(
             quiet_cpu, body, lambda: {"acc": np.zeros(4, np.int64)})
-        assert omp_fastpath.UNIFORM_ROUNDS > before
+        assert counter_value("interp.omp.uniform_rounds") > before
         assert result.memory["acc"].sum() == 80
 
     def test_reference_path_never_batches(self, quiet_cpu):
         def body(tc):
             yield tc.atomic_write("x", tc.tid, 1)
 
-        before = omp_fastpath.UNIFORM_ROUNDS
+        before = counter_value("interp.omp.uniform_rounds")
         OpenMP(quiet_cpu, n_threads=4, detect_races=False,
                fast=False).parallel(
             body, shared={"x": np.zeros(4, np.int64)})
-        assert omp_fastpath.UNIFORM_ROUNDS == before
+        assert counter_value("interp.omp.uniform_rounds") == before
 
-    def test_race_detection_disengages_fast_path(self, quiet_cpu):
-        """A detecting interpreter must stay on the instrumented scalar
-        loop even when the fast default is on."""
+    def test_race_detection_runs_on_fast_path(self, quiet_cpu):
+        """A detecting region (the default) takes the fast scheduler and
+        raises the reference's exact DataRaceError, after the same
+        memory effects."""
         def body(tc):
-            yield tc.atomic_write("x", tc.tid, 1)
+            yield tc.atomic_update("x", 1, lambda v: v + 1)
+            v = yield tc.read("x", 0)
+            yield tc.write("x", 0, v + tc.tid)
 
-        before = omp_fastpath.UNIFORM_ROUNDS
-        OpenMP(quiet_cpu, n_threads=4, fast=True).parallel(
-            body, shared={"x": np.zeros(4, np.int64)})
-        assert omp_fastpath.UNIFORM_ROUNDS == before
+        errors, memories = [], []
+        for fast in (True, False):
+            before = counter_value("interp.omp.regions_fast")
+            shared = {"x": np.zeros(2, np.int64)}
+            with pytest.raises(DataRaceError) as info:
+                OpenMP(quiet_cpu, n_threads=4, fast=fast).parallel(
+                    body, shared=shared)
+            moved = counter_value("interp.omp.regions_fast") > before
+            assert moved == fast
+            errors.append(str(info.value))
+            memories.append(shared["x"].tobytes())
+        assert errors[0] == errors[1]
+        assert "data race on x[0]" in errors[0]
+        assert memories[0] == memories[1]
+
+    def test_lock_holder_in_uniform_round_records_locked_kinds(
+            self, quiet_cpu):
+        """Thread 0 holds a lock through two uniform rounds that the
+        unlocked threads share; its accesses are recorded as locked."""
+        def body(tc):
+            if tc.is_master:
+                yield tc.lock_acquire("l")
+            else:
+                yield tc.flush()
+            v = yield tc.read("x", 0)
+            yield tc.write("x", 0, v + tc.tid)
+            if tc.is_master:
+                yield tc.lock_release("l")
+
+        before = counter_value("interp.omp.uniform_rounds")
+        result = _parallel_both(quiet_cpu, body,
+                                lambda: {"x": np.zeros(1, np.int64)},
+                                collect_races=True)
+        assert counter_value("interp.omp.uniform_rounds") >= before + 2
+        assert "thread 1 plain_read vs thread 0 locked_write" in \
+            str(result.races[0])
 
     def test_plain_reads_writes_with_barriers(self, quiet_cpu):
         def body(tc):
@@ -408,23 +443,40 @@ class TestOpenMPEquivalence:
 class TestCpuWorkloads:
     """CPU workloads, fast default vs reference engine."""
 
-    @pytest.mark.parametrize("strategy", ["atomic", "privatized"])
-    def test_histogram_matches_reference(self, quiet_cpu, strategy):
+    @staticmethod
+    def _histogram_both(machine, strategy, detect_races):
         data = (np.arange(256) * 271) % 16
-        fast = cpu_histogram(quiet_cpu, data, 16, n_threads=4,
-                             strategy=strategy, detect_races=False)
+        fast = cpu_histogram(machine, data, 16, n_threads=4,
+                             strategy=strategy, detect_races=detect_races)
         with reference_engine():
-            ref = cpu_histogram(quiet_cpu, data, 16, n_threads=4,
-                                strategy=strategy, detect_races=False)
+            ref = cpu_histogram(machine, data, 16, n_threads=4,
+                                strategy=strategy,
+                                detect_races=detect_races)
         assert ref.correct
         _assert_outcomes_equal(fast, ref)
 
-    def test_prefix_sum_matches_reference(self, quiet_cpu):
+    @staticmethod
+    def _prefix_sum_both(machine, detect_races):
         data = (np.arange(200) * 31) % 100
-        fast = cpu_prefix_sum(quiet_cpu, data, n_threads=4,
-                              detect_races=False)
+        fast = cpu_prefix_sum(machine, data, n_threads=4,
+                              detect_races=detect_races)
         with reference_engine():
-            ref = cpu_prefix_sum(quiet_cpu, data, n_threads=4,
-                                 detect_races=False)
+            ref = cpu_prefix_sum(machine, data, n_threads=4,
+                                 detect_races=detect_races)
         assert ref.correct
         _assert_outcomes_equal(fast, ref)
+
+    @pytest.mark.parametrize("strategy", ["atomic", "privatized"])
+    def test_histogram_matches_reference(self, quiet_cpu, strategy):
+        self._histogram_both(quiet_cpu, strategy, detect_races=False)
+
+    def test_prefix_sum_matches_reference(self, quiet_cpu):
+        self._prefix_sum_both(quiet_cpu, detect_races=False)
+
+    @pytest.mark.parametrize("strategy", ["atomic", "privatized"])
+    def test_detecting_histogram_matches_reference(self, quiet_cpu,
+                                                   strategy):
+        self._histogram_both(quiet_cpu, strategy, detect_races=True)
+
+    def test_detecting_prefix_sum_matches_reference(self, quiet_cpu):
+        self._prefix_sum_both(quiet_cpu, detect_races=True)

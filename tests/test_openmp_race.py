@@ -1,9 +1,11 @@
 """Unit tests for repro.openmp.race."""
 
+import random
+
 import pytest
 
 from repro.common.errors import DataRaceError
-from repro.openmp.race import AccessKind, RaceDetector
+from repro.openmp.race import AccessKind, RaceDetector, RaceReport, _conflicts
 
 
 class TestConflictMatrix:
@@ -99,3 +101,107 @@ class TestRaising:
         d.record(1, "x", 0, AccessKind.PLAIN_WRITE)
         d.record(2, "x", 0, AccessKind.PLAIN_WRITE)
         assert len(d.races) >= 1
+
+
+class _HistoryWalkDetector:
+    """The detector as first written: a linear walk of each location's
+    epoch history on every access.  The oracle for the summary-indexed
+    :class:`RaceDetector`."""
+
+    def __init__(self, raise_on_race):
+        self.raise_on_race = raise_on_race
+        self.races = []
+        self.epoch = 0
+        self.accesses = {}
+
+    def record(self, tid, var, idx, kind):
+        history = self.accesses.setdefault((var, idx), [])
+        for prev_tid, prev_kind in history:
+            if prev_tid != tid and _conflicts(prev_kind, kind):
+                report = RaceReport(var=var, idx=idx,
+                                    first=(prev_tid, prev_kind),
+                                    second=(tid, kind), epoch=self.epoch)
+                if self.raise_on_race:
+                    raise DataRaceError(str(report))
+                self.races.append(report)
+                break
+        if (tid, kind) not in history:
+            history.append((tid, kind))
+
+    def barrier(self):
+        self.epoch += 1
+        self.accesses.clear()
+
+
+def _replay(detector, stream):
+    """Feed a call stream; returns the raised message (or None) and the
+    index of the call that raised."""
+    for at, call in enumerate(stream):
+        try:
+            if call is None:
+                detector.barrier()
+            else:
+                detector.record(*call)
+        except DataRaceError as exc:
+            return str(exc), at
+    return None, len(stream)
+
+
+#: Kind families that never race among themselves.
+_SAFE_FAMILIES = (
+    (AccessKind.ATOMIC_READ, AccessKind.ATOMIC_WRITE),
+    (AccessKind.LOCKED_READ, AccessKind.LOCKED_WRITE),
+    (AccessKind.PLAIN_READ, AccessKind.ATOMIC_READ, AccessKind.LOCKED_READ),
+)
+
+
+def _random_stream(rng):
+    """2-8 threads, two variables of three elements, all six kinds, and
+    occasional barriers.  Each stream draws most kinds from one safe
+    family and the rest from all six, so that racy and race-free
+    streams are both common."""
+    n_threads = rng.randint(2, 8)
+    family = rng.choice(_SAFE_FAMILIES)
+    p_any = rng.random() * 0.3
+    stream = []
+    for _ in range(rng.randint(1, 40)):
+        if rng.random() < 0.08:
+            stream.append(None)
+            continue
+        kinds = list(AccessKind) if rng.random() < p_any else family
+        stream.append((rng.randrange(n_threads), rng.choice("xy"),
+                       rng.randrange(3), rng.choice(kinds)))
+    return stream
+
+
+class TestSummaryMatchesHistoryWalk:
+    """Random record/barrier streams: the summary-indexed detector must
+    report exactly what the history walk reports, in both modes."""
+
+    N_STREAMS = 400
+
+    def test_collect_mode_reports_identical(self):
+        rng = random.Random(16)
+        racy = 0
+        for n in range(self.N_STREAMS):
+            stream = _random_stream(rng)
+            new = RaceDetector(raise_on_race=False)
+            old = _HistoryWalkDetector(raise_on_race=False)
+            _replay(new, stream)
+            _replay(old, stream)
+            assert new.races == old.races, f"stream {n}: {stream}"
+            assert new.epoch == old.epoch
+            racy += bool(old.races)
+        # Both outcomes are exercised.
+        assert self.N_STREAMS // 4 < racy < self.N_STREAMS * 3 // 4
+
+    def test_raise_mode_messages_identical(self):
+        rng = random.Random(61)
+        raised = 0
+        for n in range(self.N_STREAMS):
+            stream = _random_stream(rng)
+            new = _replay(RaceDetector(), stream)
+            old = _replay(_HistoryWalkDetector(raise_on_race=True), stream)
+            assert new == old, f"stream {n}: {stream}"
+            raised += new[0] is not None
+        assert self.N_STREAMS // 4 < raised < self.N_STREAMS * 3 // 4
