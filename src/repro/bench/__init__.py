@@ -5,10 +5,10 @@ path (:func:`repro.core.engine.reference_engine`) at four granularities
 — the raw protocol kernel, a representative sweep, the kernel
 interpreters (``interp_*`` rows: CUDA/OpenMP workloads under batched
 uniform-pass dispatch and the JIT-style dispatch tiers vs the scalar
-schedulers, and the ``dispatch_*`` dispatcher-tier rows: warm replay
-(``dispatch_replay``), lifted plans on fresh data
-(``dispatch_lifted``/``dispatch_omp_lifted``), and shape-keyed plan
-reuse (``dispatch_shape_sweep``)), and a full campaign (serial vs
+schedulers, and the ``dispatch_*`` rows for the CUDA dispatcher's
+tiers: warm replay (``dispatch_replay``), lifted plans on fresh data
+(``dispatch_lifted``), and shape-keyed plan reuse
+(``dispatch_shape_sweep``)), and a full campaign (serial vs
 ``jobs=N``) — and writes ``BENCH_engine.json`` at the repo root in a
 stable schema so the performance trajectory is tracked across PRs:
 
@@ -449,68 +449,6 @@ def _bench_dispatch_shape_sweep(repeats: int) -> dict:
                 _best_of(run_fast, repeats))
 
 
-def _bench_dispatch_omp_lifted(repeats: int) -> dict:
-    """OpenMP lifted region plans vs the scalar reference on fresh data.
-
-    The steady parallel region runs on shared contents it has never
-    seen, so the content-keyed region replay always misses and the
-    dispatcher replays its lifted region plan
-    (``dispatch.lifted_regions`` is the engagement witness);
-    ``reference_s`` is the scalar reference scheduler on the same data
-    stream.
-    """
-    import numpy as np
-    from repro.cpu.presets import cpu_preset
-    from repro.openmp.interpreter import OpenMP
-
-    machine = cpu_preset(1)
-    n_threads = 8
-    n = 256
-
-    def body(tc):
-        acc = 0
-        for i in range(8):
-            value = yield tc.read("a", (tc.tid * 8 + i) % n)
-            acc = acc + value * (i + 1)
-        yield tc.atomic_update("total", 0, lambda cur: cur + acc)
-        yield tc.write("out", tc.tid, acc % 100003)
-
-    def run(a: "np.ndarray"):
-        shared = {"a": a, "total": np.zeros(1, np.int64),
-                  "out": np.zeros(n_threads, np.int64)}
-        result = OpenMP(machine, n_threads=n_threads,
-                        detect_races=False).parallel(body, shared=shared)
-        return (result.elapsed_ns, shared["total"].tobytes(),
-                shared["out"].tobytes())
-
-    base = np.arange(n, dtype=np.int64)
-    fresh = iter(range(10 ** 9))
-
-    def run_fast():
-        return run((base * 37 + next(fresh)) % 911)
-
-    def run_reference():
-        with reference_engine():
-            return run((base * 37 + next(fresh)) % 911)
-
-    probe = (base * 11) % 911
-    fast_result = run(probe.copy())
-    with reference_engine():
-        ref_result = run(probe.copy())
-    if fast_result != ref_result:
-        raise SimulationError(
-            "dispatch_omp_lifted: lifted region plan diverged from the "
-            "reference scheduler; refusing to benchmark")
-    lifted = counter_value("dispatch.lifted_regions")
-    run_fast()
-    if counter_value("dispatch.lifted_regions") == lifted:
-        raise SimulationError(
-            "dispatch_omp_lifted: the region plan never executed on "
-            "the fast side; refusing to benchmark")
-    return _row("dispatch_omp_lifted", _best_of(run_reference, repeats),
-                _best_of(run_fast, repeats))
-
-
 # ------------------------------- service ------------------------------- #
 
 
@@ -795,7 +733,6 @@ def run_benchmarks(smoke: bool = False, jobs: int = 2) -> dict:
         _bench_dispatch_replay(repeats),
         _bench_dispatch_lifted(repeats),
         _bench_dispatch_shape_sweep(repeats),
-        _bench_dispatch_omp_lifted(repeats),
         *_bench_service(repeats),
         _bench_obs_tracing(repeats),
         _bench_campaign(CAMPAIGN_IDS_SMOKE if smoke else CAMPAIGN_IDS,

@@ -1,4 +1,4 @@
-"""Process-wide JIT-style dispatch cache for the interpreters.
+"""Process-wide JIT-style dispatch cache for CUDA kernel launches.
 
 The paper's characterization sweeps re-launch the same interpreted
 kernels thousands of times per (primitive, contention, machine) point,
@@ -15,10 +15,9 @@ specialized callable per type signature:
   immutable closure cells, and the key covers every remaining input.
 * **Lifted tier**: for *steady* pure kernels (control flow independent
   of data — proven dynamically by symbolic capture), a set of
-  :class:`~repro.compiler.lift.BlockPlan` *variants* (CUDA) or one
-  :class:`~repro.compiler.lift.RegionPlan` (OpenMP) compiled at first
+  :class:`~repro.compiler.lift.BlockPlan` *variants* compiled at first
   miss executes fresh data with precompiled effects, no generators.
-  CUDA capture is block-generic: one capture with ``blockIdx`` bound to
+  Capture is block-generic: one capture with ``blockIdx`` bound to
   a symbol yields a variant guarded by predicates on the block index,
   and a launch captures new variants only for blocks no existing
   variant covers — typically one capture per launch shape, not one per
@@ -31,6 +30,11 @@ specialized callable per type signature:
 * **Fast/reference tiers**: everything else falls through to the
   existing batched fast path and scalar reference untouched.
 
+OpenMP regions never consult the dispatcher: they run on the batched
+fast scheduler (:mod:`repro.openmp.fastpath`), or on the reference with
+``fast=False``.  Race detection is on by default and a replay cannot
+reproduce a race verdict, so no workload region could use a region tier.
+
 All tiers are byte-identical to the reference interpreter; the
 differential-fuzz harness pins this with the dispatcher forced on.
 
@@ -41,18 +45,18 @@ entries immediately (stale entries age out of the LRU).
 
 Counters (docs/observability.md): ``dispatch.hit`` / ``dispatch.miss``
 (keyed launches served / not served from the replay cache),
-``dispatch.shape_hit`` (launches/regions served from cached plans
-without recapture), ``dispatch.compile`` (plan variants/region plans
-captured), ``dispatch.fallback`` (launches the dispatcher examined but
-left to the fast/scalar tiers — the exact sum of the per-reason
+``dispatch.shape_hit`` (launches served from cached plans without
+recapture), ``dispatch.compile`` (plan variants captured),
+``dispatch.fallback`` (launches the dispatcher examined but left to the
+fast/scalar tiers — the exact sum of the per-reason
 ``dispatch.fallback.unfingerprintable`` / ``.impure`` / ``.unsignable``
-/ ``.memory`` / ``.capture`` counters), ``dispatch.lifted_blocks``,
-``dispatch.lifted_regions``, and ``dispatch.evictions``.  When a
-recorder is installed the tiers also emit spans — ``dispatch.capture`` (with
-the ``kernel_purity`` verdict and, on abort, the ``CaptureEscape``
-message), ``dispatch.replay``, and ``dispatch.lifted`` (with the plan
-``source``) — which traced service requests carry across process
-boundaries (docs/observability.md, "Cross-process trace context").
+/ ``.memory`` / ``.capture`` counters), ``dispatch.lifted_blocks``, and
+``dispatch.evictions``.  When a recorder is installed the tiers also
+emit spans — ``dispatch.capture`` (with the ``kernel_purity`` verdict
+and, on abort, the ``CaptureEscape`` message), ``dispatch.replay``, and
+``dispatch.lifted`` (with the plan ``source``) — which traced service
+requests carry across process boundaries (docs/observability.md,
+"Cross-process trace context").
 
 The ``SYNCPERF_DISPATCH`` environment variable (``on`` default,
 ``off``, ``force``) and the :func:`dispatch_disabled` /
@@ -88,7 +92,6 @@ _C_FALLBACK_BY = {reason: _counter(f"dispatch.fallback.{reason}")
                   for reason in ("unfingerprintable", "impure",
                                  "unsignable", "memory", "capture")}
 _C_LIFTED = _counter("dispatch.lifted_blocks")
-_C_LIFTED_REGIONS = _counter("dispatch.lifted_regions")
 _C_EVICT = _counter("dispatch.evictions")
 
 #: Sentinel marking a signature proven unliftable (capture escaped).
@@ -284,10 +287,9 @@ def _shape_digest(sig: tuple) -> bytes:
 class _PlanSet:
     """Cached lifted plans for one shape digest.
 
-    ``plans`` is a list of ``BlockPlan`` variants (CUDA) or a single
-    ``RegionPlan`` (OpenMP).  For CUDA, ``assign`` maps each block of
-    the launch shape to the index of the first variant whose guard
-    admits it (built on first use; the grid is part of the shape
+    ``plans`` is a list of ``BlockPlan`` variants; ``assign`` maps each
+    block of the launch shape to the index of the first variant whose
+    guard admits it (built on first use; the grid is part of the shape
     digest).
     """
 
@@ -313,21 +315,6 @@ class _CudaEntry:
         self.nbytes = sum(len(b) for b in writes.values()) + 256
 
 
-class _OmpEntry:
-    __slots__ = ("writes", "times", "elapsed", "barriers", "requests",
-                 "max_steps", "nbytes")
-
-    def __init__(self, writes, times, elapsed, barriers, requests,
-                 max_steps):
-        self.writes = writes
-        self.times = times
-        self.elapsed = elapsed
-        self.barriers = barriers
-        self.requests = requests
-        self.max_steps = max_steps
-        self.nbytes = sum(len(b) for b in writes.values()) + 256
-
-
 def _apply_writes(writes: dict[str, bytes],
                   memory: dict[str, np.ndarray]) -> None:
     for var, buf in writes.items():
@@ -350,7 +337,7 @@ def _diff_writes(pre: dict[str, bytes],
 # --------------------------------------------------------------------- #
 
 class Dispatcher:
-    """Process-wide launch/region memo table with LRU bounds.
+    """Process-wide launch memo table with LRU bounds.
 
     Args:
         max_entries: Replay-entry count ceiling.
@@ -482,7 +469,7 @@ class Dispatcher:
 
     def _signatures(self, machine, fn, forced: bool):
         """(machine fingerprint, function signature, frozen globals) for
-        one launch/region, or None after counting the fallback reason."""
+        one launch, or None after counting the fallback reason."""
         fp = machine_fingerprint(machine)
         if fp is None:
             _fallback("unfingerprintable")
@@ -589,30 +576,6 @@ class Dispatcher:
         self._put_plans(digest, pset)
         return pset, "fresh"
 
-    # ------------------------------ OpenMP ---------------------------- #
-
-    def begin_omp(self, omp, body, shared):
-        """Key one OpenMP parallel region; returns a ticket or None."""
-        mode = dispatch_mode()
-        if mode == "off":
-            return None
-        sigs = self._signatures(omp.machine, body, mode == "force")
-        if sigs is None:
-            return None
-        fp, bsig, gsig = sigs
-        shared_map = dict(shared or {})
-        digested = self._digest_memory(shared_map)
-        if digested is None:
-            _fallback("memory")
-            return None
-        static, content, pre = digested
-        plan_key = _shape_digest(
-            ("omp-plan", bsig, gsig, omp.n_threads, omp.affinity,
-             omp.relaxed_consistency, fp, static))
-        key = ("omp", bsig, gsig, omp.n_threads, omp.affinity,
-               omp.relaxed_consistency, fp, static, content)
-        return _OmpTicket(self, omp, body, shared_map, key, plan_key, pre)
-
 
 class _CudaTicket:
     """One keyed CUDA launch: replay -> lifted -> record."""
@@ -694,109 +657,6 @@ class _CudaTicket:
                         for f in _dc_fields(stats)
                         if getattr(stats, f.name)),
             steps=budget.used,
-        )
-        if entry.nbytes <= self.disp.memory_cap:
-            self.disp._put_entry(self.key, entry)
-
-
-class _OmpTicket:
-    """One keyed OpenMP region: replay -> lifted -> record."""
-
-    __slots__ = ("disp", "omp", "body", "shared_map", "key", "plan_key",
-                 "pre", "hit")
-
-    def __init__(self, disp, omp, body, shared_map, key, plan_key, pre):
-        self.disp = disp
-        self.omp = omp
-        self.body = body
-        self.shared_map = shared_map
-        self.key = key
-        self.plan_key = plan_key
-        self.pre = pre
-        self.hit = False
-
-    def replay(self):
-        """Apply a recorded region; returns a ParallelResult or None."""
-        entry = self.disp._get_entry(self.key)
-        if entry is None or self.omp.max_steps < entry.max_steps:
-            _C_MISS.add(1)
-            return None
-        from repro.openmp.interpreter import ParallelResult
-        with obs_span("dispatch.replay", kind="omp"):
-            memory = dict(self.shared_map)
-            _apply_writes(entry.writes, memory)
-        self.hit = True
-        _C_HIT.add(1)
-        return ParallelResult(
-            memory=memory,
-            thread_times_ns=list(entry.times),
-            elapsed_ns=entry.elapsed,
-            races=[],
-            barriers=entry.barriers,
-            requests=entry.requests,
-            trace=None,
-        )
-
-    def run_lifted(self):
-        """Execute via a compiled region plan; None when unliftable.
-
-        Returns a ParallelResult byte-identical to the fast/reference
-        tiers: the plan mutates the shared arrays in place with the
-        exact scalar operation sequence, and times/counters were proven
-        content-independent at capture.  The caller still ``record``\\ s
-        the result, so tier 0 stacks on top.
-        """
-        omp = self.omp
-        disp = self.disp
-        pset, source = disp._get_plans(self.plan_key), "mem"
-        if pset is None:
-            shared_info = {name: (arr.size, arr.dtype)
-                           for name, arr in self.shared_map.items()}
-            plan = disp._capture(
-                self.plan_key, self.body,
-                lambda: lift.capture_region_plan(omp, self.body,
-                                                 shared_info,
-                                                 omp.max_steps))
-            if plan is not None:
-                pset, source = _PlanSet(plan), "fresh"
-                disp._put_plans(self.plan_key, pset)
-        if pset is None or pset is _UNLIFTABLE:
-            _fallback("capture")
-            return None
-        plan = pset.plans
-        if plan.steps > omp.max_steps:
-            # Captured under a larger budget; only a stepped execution
-            # knows where the current budget trips.
-            return None
-        if source == "mem":
-            _C_SHAPE_HIT.add(1)
-        from repro.openmp.interpreter import ParallelResult
-        with obs_span("dispatch.lifted", kind="omp", source=source):
-            memory = dict(self.shared_map)
-            plan.execute(memory)
-        _C_LIFTED_REGIONS.add(1)
-        return ParallelResult(
-            memory=memory,
-            thread_times_ns=list(plan.thread_times),
-            elapsed_ns=plan.elapsed,
-            races=[],
-            barriers=plan.barriers,
-            requests=plan.requests,
-            trace=None,
-        )
-
-    def record(self, result) -> None:
-        """Store the completed region for future replay (miss only)."""
-        if self.hit or result.trace is not None or result.races:
-            return
-        writes = _diff_writes(self.pre, self.shared_map)
-        entry = _OmpEntry(
-            writes=writes,
-            times=tuple(result.thread_times_ns),
-            elapsed=result.elapsed_ns,
-            barriers=result.barriers,
-            requests=result.requests,
-            max_steps=self.omp.max_steps,
         )
         if entry.nbytes <= self.disp.memory_cap:
             self.disp._put_entry(self.key, entry)

@@ -257,24 +257,6 @@ def _symbolic_clone(fn):
     return clone
 
 
-def _eval_node(node: tuple, env: list):
-    """Evaluate a ``Sym`` expression tree against the slot environment.
-
-    Integer arithmetic runs with exact Python semantics (no int64
-    wraparound), which is precisely what the reference interpreter's
-    per-lane Python expressions produce.
-    """
-    tag = node[0]
-    if tag == "k":
-        return node[1]
-    if tag == "s":
-        return env[node[1]][node[2]]
-    if tag == "b":
-        return _BINFN[node[1]](_eval_node(node[2], env),
-                               _eval_node(node[3], env))
-    return _UNFN[node[1]](_eval_node(node[2], env))
-
-
 _UNARY_SRC = {"neg": "-{}", "pos": "+{}", "invert": "~{}",
               "abs": "abs({})"}
 
@@ -1424,365 +1406,4 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
         lo=guard.lo,
         hi=guard.hi,
         excluded=frozenset(guard.excluded),
-    )
-
-
-# --------------------------------------------------------------------- #
-# Compiled OpenMP region plans
-# --------------------------------------------------------------------- #
-
-def _concrete_index(idx) -> int:
-    if type(idx) is Sym:
-        raise CaptureEscape("data-dependent memory index")
-    if not isinstance(idx, (int, np.integer)):
-        raise CaptureEscape(f"non-integer index {type(idx).__name__}")
-    return int(idx)
-
-
-#: Values a captured OpenMP effect may materialize as a constant.
-_PLAN_SCALARS = (bool, int, float, np.integer, np.floating, np.bool_)
-
-
-def _plan_value_node(v) -> tuple:
-    if type(v) is Sym:
-        return v.node
-    if isinstance(v, _PLAN_SCALARS):
-        return ("k", v)
-    raise CaptureEscape(
-        f"unsupported value type {type(v).__name__} in region capture")
-
-
-class RegionPlan:
-    """One OpenMP parallel region's precompiled schedule.
-
-    The capture proves the region *steady* — request order, indices,
-    lock/barrier structure, and costs independent of shared-memory
-    content — so everything but the data values is static: per-thread
-    clocks, the elapsed time, barrier/request counts, and the ordered
-    effect list.  :meth:`execute` replays the effects against fresh
-    arrays with the exact scalar operation sequence of the reference
-    scheduler (``.item()`` loads, Python-semantics arithmetic via the
-    ``Sym`` expression trees, element stores), so results are
-    byte-identical to a generator-stepped region.
-
-    Effects (store-buffer drains are already serialized into plain
-    writes at their flush points, in buffer insertion order):
-
-    * ``("r", var, idx, slot)`` — load ``var[idx]`` into ``slot``
-      (plain reads that hit the thread's own store buffer at capture
-      time never become effects: their value is forwarded
-      symbolically);
-    * ``("w", var, idx, node)`` — store an expression to ``var[idx]``;
-    * ``("au", var, idx, slot, node)`` — atomic read-modify-write:
-      load the old value into ``slot``, store the update expression.
-    """
-
-    __slots__ = ("thread_times", "elapsed", "barriers", "requests",
-                 "steps", "n_slots", "effects")
-
-    def __init__(self, thread_times: tuple, elapsed: float,
-                 barriers: int, requests: int, steps: int,
-                 n_slots: int, effects: list) -> None:
-        self.thread_times = thread_times
-        self.elapsed = elapsed
-        self.barriers = barriers
-        self.requests = requests
-        self.steps = steps
-        self.n_slots = n_slots
-        self.effects = effects
-
-    def execute(self, memory: dict[str, np.ndarray]) -> None:
-        """Replay the recorded effects against live shared arrays."""
-        flats: dict[str, np.ndarray] = {}
-        env: list = [None] * self.n_slots
-
-        def flat_of(var: str) -> np.ndarray:
-            flat = flats.get(var)
-            if flat is None:
-                flat = memory[var].reshape(-1)
-                flats[var] = flat
-            return flat
-
-        for eff in self.effects:
-            tag = eff[0]
-            if tag == "r":
-                _, var, idx, slot = eff
-                env[slot] = (flat_of(var)[idx].item(),)
-            elif tag == "w":
-                _, var, idx, node = eff
-                flat_of(var)[idx] = _eval_node(node, env)
-            else:  # "au"
-                _, var, idx, slot, node = eff
-                flat = flat_of(var)
-                env[slot] = (flat[idx].item(),)
-                flat[idx] = _eval_node(node, env)
-
-
-def capture_region_plan(omp, body,
-                        shared_info: dict[str, tuple[int, np.dtype]],
-                        step_cap: int) -> RegionPlan:
-    """Dry-run one parallel region with symbolic values and record it.
-
-    Mirrors the reference scheduler's interleaved sweep (which the
-    batched rounds of :func:`repro.openmp.fastpath.parallel_fast` are
-    equivalent to) with :class:`Sym` placeholders fed back for every
-    read/atomic result: store-buffer forwarding, lock
-    acquisition/waiting order, and barrier releases all resolve
-    concretely for a steady region, while atomic-update functions are
-    applied to symbols so their expression trees replay with exact
-    Python semantics.
-
-    Raises:
-        CaptureEscape: when the region is not steady (data steers
-            control flow, indices, or lock names), uses a construct that
-            runs arbitrary code against memory (``single``,
-            ``critical``), raises, goes out of bounds, or exceeds
-            ``step_cap``/:data:`EFFECT_CAP` — the caller falls back to
-            the batched fast tier.
-    """
-    from repro.compiler.ops import PrimitiveKind
-    from repro.common.datatypes import dtype_of
-    from repro.openmp import requests as rq
-    from repro.openmp.fastpath import make_cost_model
-    from repro.openmp.interpreter import ThreadContext
-
-    machine = omp.machine
-    ctx = omp._ctx
-    n = omp.n_threads
-    relaxed = omp.relaxed_consistency
-    mem_cost, plain_cost = make_cost_model(machine, ctx)
-
-    PLAIN_READ = PrimitiveKind.PLAIN_READ
-    PLAIN_UPDATE = PrimitiveKind.PLAIN_UPDATE
-    ATOMIC_READ = PrimitiveKind.OMP_ATOMIC_READ
-    ATOMIC_WRITE = PrimitiveKind.OMP_ATOMIC_WRITE
-    ATOMIC_UPDATE = PrimitiveKind.OMP_ATOMIC_UPDATE
-    ATOMIC_CAPTURE = PrimitiveKind.OMP_ATOMIC_CAPTURE
-
-    def var_dtype(var: str):
-        return dtype_of(shared_info[var][1])
-
-    effects: list = []
-    n_slots = 0
-
-    def new_slot() -> int:
-        nonlocal n_slots
-        slot = n_slots
-        n_slots += 1
-        return slot
-
-    gens = [body(ThreadContext(tid, n)) for tid in range(n)]
-    clocks = [0.0] * n
-    pending: list[object] = [None] * n
-    arrival: list[tuple[str, str] | None] = [None] * n
-    done = [False] * n
-    barriers = 0
-    steps = 0
-    location_threads: dict[tuple[str, int], set[int]] = {}
-    lock_holder: dict[str, int] = {}
-    held_locks: list[set[str]] = [set() for _ in range(n)]
-    lock_wait: dict[int, str] = {}
-    buffers: list[dict[tuple[str, int], object]] = [{} for _ in range(n)]
-
-    def drain(tid: int) -> None:
-        buf = buffers[tid]
-        if buf:
-            for (var, idx), v in buf.items():
-                effects.append(("w", var, idx, _plan_value_node(v)))
-            buf.clear()
-
-    def charge_mem(tid: int, kind, var: str, idx: int, dtype) -> None:
-        touched = location_threads.setdefault((var, idx), set())
-        touched.add(tid)
-        clocks[tid] += mem_cost(kind, dtype, len(touched) > 1)
-
-    def validate(tid: int, var, idx) -> int:
-        if type(var) is Sym or not isinstance(var, str):
-            raise CaptureEscape("data-dependent variable name")
-        entry = shared_info.get(var)
-        if entry is None:
-            raise CaptureEscape(f"undeclared shared variable {var!r}")
-        i = _concrete_index(idx)
-        if not 0 <= i < entry[0]:
-            raise CaptureEscape("out-of-bounds access")
-        return i
-
-    def lock_name_of(request) -> str:
-        name = request.name
-        if type(name) is Sym or not isinstance(name, str):
-            raise CaptureEscape("data-dependent lock name")
-        return name
-
-    def release_arrivals() -> None:
-        nonlocal barriers
-        barriers += 1
-        for t in range(n):
-            drain(t)
-        sync_time = max(clocks) + plain_cost(PrimitiveKind.OMP_BARRIER)
-        for t in range(n):
-            clocks[t] = sync_time
-            arrival[t] = None
-        location_threads.clear()
-
-    while not all(done):
-        progressed = False
-        if len(effects) > EFFECT_CAP:
-            raise CaptureEscape("plan too large")
-        for tid in range(n):
-            if done[tid] or arrival[tid] is not None:
-                continue
-            if tid in lock_wait:
-                name = lock_wait[tid]
-                if name in lock_holder:
-                    continue
-                del lock_wait[tid]
-                lock_holder[name] = tid
-                held_locks[tid].add(name)
-                clocks[tid] += plain_cost(PrimitiveKind.OMP_LOCK_ACQUIRE)
-                progressed = True
-                continue
-            steps += 1
-            if steps > step_cap:
-                raise CaptureEscape("step budget reached in capture")
-            try:
-                request = gens[tid].send(pending[tid])
-            except StopIteration:
-                if held_locks[tid]:
-                    raise CaptureEscape("thread finished holding a lock")
-                done[tid] = True
-                progressed = True
-                continue
-            except CaptureEscape:
-                raise
-            except Exception as exc:
-                # The body raised — possibly only because a Sym reached
-                # code that needed a concrete value.  The fast tier
-                # re-runs with real values and reproduces any genuine
-                # error exactly.
-                raise CaptureEscape(
-                    f"body raised {type(exc).__name__} during capture"
-                ) from exc
-            pending[tid] = None
-            progressed = True
-            cls = request.__class__
-            if cls is rq.Barrier:
-                arrival[tid] = ("barrier", "")
-                if any(done):
-                    raise CaptureEscape("barrier with finished threads")
-                if all(arrival[t] is not None for t in range(n)):
-                    release_arrivals()
-                continue
-            if cls is rq.Single or cls is rq.Critical:
-                raise CaptureEscape(
-                    f"{cls.__name__} executes arbitrary code on memory")
-            if cls is rq.LockAcquire:
-                name = lock_name_of(request)
-                drain(tid)
-                if name in lock_holder:
-                    lock_wait[tid] = name
-                else:
-                    lock_holder[name] = tid
-                    held_locks[tid].add(name)
-                    clocks[tid] += plain_cost(
-                        PrimitiveKind.OMP_LOCK_ACQUIRE)
-                continue
-            if cls is rq.LockRelease:
-                name = lock_name_of(request)
-                if lock_holder.get(name) != tid:
-                    raise CaptureEscape("release of a lock not held")
-                drain(tid)
-                del lock_holder[name]
-                held_locks[tid].discard(name)
-                clocks[tid] += plain_cost(PrimitiveKind.OMP_LOCK_RELEASE)
-                continue
-            if cls is rq.Read:
-                var = request.var
-                i = validate(tid, var, request.idx)
-                charge_mem(tid, PLAIN_READ, var, i, var_dtype(var))
-                buf = buffers[tid]
-                if relaxed and (var, i) in buf:
-                    pending[tid] = buf[(var, i)]
-                else:
-                    slot = new_slot()
-                    effects.append(("r", var, i, slot))
-                    pending[tid] = Sym(("s", slot, 0))
-                continue
-            if cls is rq.Write:
-                var = request.var
-                i = validate(tid, var, request.idx)
-                charge_mem(tid, PLAIN_UPDATE, var, i, var_dtype(var))
-                node = _plan_value_node(request.value)
-                if relaxed:
-                    buffers[tid][(var, i)] = request.value
-                else:
-                    effects.append(("w", var, i, node))
-                continue
-            # Atomics and flushes are flush points under relaxed
-            # consistency, exactly as in the reference sweep.
-            if relaxed:
-                drain(tid)
-            if cls is rq.Flush:
-                clocks[tid] += plain_cost(PrimitiveKind.OMP_FLUSH)
-                continue
-            if cls is rq.AtomicRead:
-                var = request.var
-                i = validate(tid, var, request.idx)
-                dtype = request.dtype if request.dtype is not None \
-                    else var_dtype(var)
-                charge_mem(tid, ATOMIC_READ, var, i, dtype)
-                slot = new_slot()
-                effects.append(("r", var, i, slot))
-                pending[tid] = Sym(("s", slot, 0))
-                continue
-            if cls is rq.AtomicWrite:
-                var = request.var
-                i = validate(tid, var, request.idx)
-                dtype = request.dtype if request.dtype is not None \
-                    else var_dtype(var)
-                charge_mem(tid, ATOMIC_WRITE, var, i, dtype)
-                effects.append(("w", var, i,
-                                _plan_value_node(request.value)))
-                continue
-            if cls is rq.AtomicCapture or cls is rq.AtomicUpdate:
-                var = request.var
-                i = validate(tid, var, request.idx)
-                dtype = request.dtype if request.dtype is not None \
-                    else var_dtype(var)
-                is_capture = cls is rq.AtomicCapture
-                charge_mem(tid,
-                           ATOMIC_CAPTURE if is_capture else ATOMIC_UPDATE,
-                           var, i, dtype)
-                slot = new_slot()
-                old = Sym(("s", slot, 0))
-                try:
-                    new = request.func(old)
-                except CaptureEscape:
-                    raise
-                except Exception as exc:
-                    raise CaptureEscape(
-                        "atomic update function is not steady") from exc
-                effects.append(("au", var, i, slot,
-                                _plan_value_node(new)))
-                pending[tid] = (old if request.capture_old else new) \
-                    if is_capture else None
-                continue
-            raise CaptureEscape(
-                f"unknown request class {cls.__name__}")
-        if not progressed:
-            raise CaptureEscape("deadlock during capture")
-
-    for t in range(n):
-        drain(t)
-    if len(effects) > EFFECT_CAP:
-        raise CaptureEscape("plan too large")
-    elapsed = max(clocks) if clocks else 0.0
-    elapsed += plain_cost(PrimitiveKind.OMP_BARRIER)
-    return RegionPlan(
-        thread_times=tuple(clocks),
-        elapsed=elapsed,
-        barriers=barriers,
-        requests=steps,
-        steps=steps,
-        n_slots=n_slots,
-        effects=effects,
     )

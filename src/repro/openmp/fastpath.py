@@ -2,11 +2,11 @@
 
 The scalar reference scheduler in :mod:`repro.openmp.interpreter`
 interleaves one send per thread per sweep and pays, for every request:
-an ``isinstance`` chain, an :class:`~repro.compiler.ops.Op` construction
-plus its dataclass hash, a dtype lookup over the type table, a cost
-target allocation, and a trace/detector check.  This module keeps the
-reference's exact scheduling semantics while removing that per-request
-overhead:
+lookups of its class's table entries, an
+:class:`~repro.compiler.ops.Op` construction plus its dataclass hash, a
+dtype lookup over the type table, a cost target allocation, and a
+trace/detector check.  This module keeps the reference's exact
+scheduling semantics while removing that per-request overhead:
 
 * **Gather-then-execute rounds.**  Each round first *sends* into every
   runnable generator (thread bodies cannot observe shared memory between
@@ -17,9 +17,11 @@ overhead:
   completion is observed exactly when the reference would observe it.
 * **Uniform rounds.**  When every collected request is the same class of
   plain/atomic memory access (or flush) and no thread waits on a lock,
-  the round is executed by one class-specialized handler: a single
-  dispatch, memoized per-``(kind, dtype, contended)`` op costs, cached
-  flat views and dtype lookups — instead of the per-request machinery.
+  the round runs as one batch: the class's table entries
+  (:class:`repro.openmp.requests.MemoryRequest`) are read once per
+  round, op costs are memoized per ``(kind, dtype, contended)``, and
+  flat views and dtype lookups are cached — instead of the per-request
+  machinery.
 * **Hoisted observability.**  The trace check is resolved once per
   region into the cost-charging closure, so ``trace=False`` costs
   nothing per request.  The race-detector check is resolved the same
@@ -37,7 +39,7 @@ and race verdicts — are identical.  ``tests/test_interpreter_fastpath.py``
 and the OpenMP differential fuzz pin that down.
 
 The public ``interp.omp.uniform_rounds`` counter (:mod:`repro.obs`)
-lets the bench suite and CI smoke checks assert the batched dispatcher
+lets the bench suite and CI smoke checks assert the batched rounds
 actually ran.
 """
 
@@ -48,7 +50,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.common.budget import StepBudget
-from repro.common.datatypes import INT, dtype_of
+from repro.common.datatypes import dtype_of
 from repro.common.errors import SimulationError
 from repro.compiler.ops import Op, PrimitiveKind
 from repro.mem.layout import PrivateArrayElement, SharedScalar
@@ -75,13 +77,6 @@ _STOP = object()
 #: Sentinel: the thread was not sendable during the gather.
 _NOTHING = object()
 
-#: Detector kinds of a request class: (unlocked, under a held lock).
-#: Atomics are atomic whether or not the thread holds a lock.
-_READ_KINDS = (AccessKind.PLAIN_READ, AccessKind.LOCKED_READ)
-_WRITE_KINDS = (AccessKind.PLAIN_WRITE, AccessKind.LOCKED_WRITE)
-_ATOMIC_READ_KINDS = (AccessKind.ATOMIC_READ, AccessKind.ATOMIC_READ)
-_ATOMIC_WRITE_KINDS = (AccessKind.ATOMIC_WRITE, AccessKind.ATOMIC_WRITE)
-
 
 def make_cost_model(machine, ctx):
     """Memoized ``(mem_cost, plain_cost)`` closures for one region.
@@ -90,9 +85,7 @@ def make_cost_model(machine, ctx):
     a contended :class:`SharedScalar` or a thread-private line-strided
     element — the exact target selection of the reference scheduler's
     ``_cost_target``.  ``plain_cost(kind)`` prices target-less ops
-    (barriers, flushes, locks).  Shared by :func:`parallel_fast` and the
-    lifted-tier capture (:func:`repro.compiler.lift.capture_region_plan`)
-    so both charge bit-identical costs.
+    (barriers, flushes, locks).
     """
     line = machine.topology.line_bytes
     mem_cost_cache: dict[tuple, float] = {}
@@ -180,9 +173,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
     def var_dtype(var):
         dt = dtype_by_var.get(var)
         if dt is None:
-            arr = memory.get(var)
-            dt = dtype_by_var[var] = INT if arr is None \
-                else dtype_of(arr.dtype)
+            dt = dtype_by_var[var] = dtype_of(memory[var].dtype)
         return dt
 
     mem_cost, plain_cost = make_cost_model(machine, ctx)
@@ -245,111 +236,36 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
         return flat
 
     # ------------------------- uniform handlers ------------------------ #
-    # One per simple request class; each executes the whole round's
-    # requests in thread-id order (the reference's execution order),
-    # with validation/cost/effect sequencing identical per entry.
+    # Each executes the whole round's requests in thread-id order (the
+    # reference's execution order), with validation/cost/effect
+    # sequencing identical per entry.
 
-    PLAIN_READ = PrimitiveKind.PLAIN_READ
-    PLAIN_UPDATE = PrimitiveKind.PLAIN_UPDATE
-    ATOMIC_READ = PrimitiveKind.OMP_ATOMIC_READ
-    ATOMIC_WRITE = PrimitiveKind.OMP_ATOMIC_WRITE
-    ATOMIC_UPDATE = PrimitiveKind.OMP_ATOMIC_UPDATE
-    ATOMIC_CAPTURE = PrimitiveKind.OMP_ATOMIC_CAPTURE
+    buffers = store_buffers if relaxed else [None] * n
 
-    def u_read(tids, reqs):
+    def u_memory(cls, tids, reqs):
+        """One memory-request class, from its table entries."""
+        kind = cls.kind
+        access = cls.access
+        effect = cls.effect
+        drains = relaxed and cls.flushes
         for tid, r in zip(tids, reqs):
-            var, idx = r.var, r.idx
-            flat = validate(tid, var, idx)
-            contended = classify(var, idx, tid, _READ_KINDS)
-            charge_cost(tid, mem_cost(PLAIN_READ, var_dtype(var),
-                                      contended), PLAIN_READ)
-            if relaxed:
-                buf = store_buffers[tid]
-                if buf and (var, idx) in buf:
-                    pending[tid] = buf[(var, idx)]
-                    continue
-            pending[tid] = flat[idx].item()
-
-    def u_write(tids, reqs):
-        for tid, r in zip(tids, reqs):
-            var, idx = r.var, r.idx
-            flat = validate(tid, var, idx)
-            contended = classify(var, idx, tid, _WRITE_KINDS)
-            charge_cost(tid, mem_cost(PLAIN_UPDATE, var_dtype(var),
-                                      contended), PLAIN_UPDATE)
-            if relaxed:
-                store_buffers[tid][(var, idx)] = r.value
-            else:
-                flat[idx] = r.value
-
-    def u_atomic_read(tids, reqs):
-        for tid, r in zip(tids, reqs):
-            if relaxed:
+            if drains:
                 drain(tid)
             var, idx = r.var, r.idx
             flat = validate(tid, var, idx)
-            dtype = r.dtype if r.dtype is not None else var_dtype(var)
-            contended = classify(var, idx, tid, _ATOMIC_READ_KINDS)
-            charge_cost(tid, mem_cost(ATOMIC_READ, dtype, contended),
-                        ATOMIC_READ)
-            pending[tid] = flat[idx].item()
+            dtype = r.dtype
+            if dtype is None:
+                dtype = var_dtype(var)
+            contended = classify(var, idx, tid, access)
+            charge_cost(tid, mem_cost(kind, dtype, contended), kind)
+            pending[tid] = effect(r, flat, idx, buffers[tid])
 
-    def u_atomic_write(tids, reqs):
-        for tid, r in zip(tids, reqs):
-            if relaxed:
-                drain(tid)
-            var, idx = r.var, r.idx
-            flat = validate(tid, var, idx)
-            dtype = r.dtype if r.dtype is not None else var_dtype(var)
-            contended = classify(var, idx, tid, _ATOMIC_WRITE_KINDS)
-            charge_cost(tid, mem_cost(ATOMIC_WRITE, dtype, contended),
-                        ATOMIC_WRITE)
-            flat[idx] = r.value
-
-    def u_atomic_update(tids, reqs):
-        for tid, r in zip(tids, reqs):
-            if relaxed:
-                drain(tid)
-            var, idx = r.var, r.idx
-            flat = validate(tid, var, idx)
-            dtype = r.dtype if r.dtype is not None else var_dtype(var)
-            contended = classify(var, idx, tid, _ATOMIC_WRITE_KINDS)
-            charge_cost(tid, mem_cost(ATOMIC_UPDATE, dtype, contended),
-                        ATOMIC_UPDATE)
-            flat[idx] = r.func(flat[idx].item())
-
-    def u_atomic_capture(tids, reqs):
-        for tid, r in zip(tids, reqs):
-            if relaxed:
-                drain(tid)
-            var, idx = r.var, r.idx
-            flat = validate(tid, var, idx)
-            dtype = r.dtype if r.dtype is not None else var_dtype(var)
-            contended = classify(var, idx, tid, _ATOMIC_WRITE_KINDS)
-            charge_cost(tid, mem_cost(ATOMIC_CAPTURE, dtype, contended),
-                        ATOMIC_CAPTURE)
-            old = flat[idx].item()
-            new = r.func(old)
-            flat[idx] = new
-            pending[tid] = old if r.capture_old else new
-
-    def u_flush(tids, reqs):
+    def u_flush(tids):
         cost = plain_cost(PrimitiveKind.OMP_FLUSH)
         for tid in tids:
             if relaxed:
                 drain(tid)
             charge_cost(tid, cost, PrimitiveKind.OMP_FLUSH)
-
-    handlers = {
-        rq.Read: u_read,
-        rq.Write: u_write,
-        rq.AtomicRead: u_atomic_read,
-        rq.AtomicWrite: u_atomic_write,
-        rq.AtomicUpdate: u_atomic_update,
-        rq.AtomicCapture: u_atomic_capture,
-        rq.Flush: u_flush,
-    }
-    handlers_get = handlers.get
 
     # --------------------------- region loop --------------------------- #
 
@@ -428,7 +344,7 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             held_locks[tid].discard(request.name)
             charge_op(tid, Op(kind=PrimitiveKind.OMP_LOCK_RELEASE))
             return
-        if relaxed and not isinstance(request, (rq.Read, rq.Write)):
+        if relaxed and getattr(request, "flushes", True):
             drain(tid)
         buffer = store_buffers[tid] if relaxed else None
         pending[tid] = omp._execute(
@@ -473,8 +389,8 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
             tids.append(tid)
             reqs.append(request)
 
-        # Uniform round: no completions, no lock traffic, one simple
-        # request class — run the class-specialized batch handler.
+        # Uniform round: no completions, no lock traffic, one flush or
+        # memory-request class — run it as one batch.
         if reqs and not n_stop and not lock_wait:
             cls = reqs[0].__class__
             uniform = True
@@ -483,9 +399,13 @@ def parallel_fast(omp, body, shared: Mapping[str, np.ndarray] | None = None,
                     uniform = False
                     break
             if uniform:
-                handler = handlers_get(cls)
-                if handler is not None:
-                    handler(tids, reqs)
+                if cls is rq.Flush:
+                    u_flush(tids)
+                    n_uniform += 1
+                    continue
+                if issubclass(cls, rq.MemoryRequest) and \
+                        cls.kind is not None:
+                    u_memory(cls, tids, reqs)
                     n_uniform += 1
                     continue
 

@@ -29,6 +29,7 @@ from typing import Callable, Generator, Mapping
 import numpy as np
 
 from repro.common.budget import StepBudget
+from repro.common.datatypes import INT, dtype_of
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.compiler.ops import Op, PrimitiveKind
 from repro.core.engine import fast_path_default
@@ -211,12 +212,10 @@ class OpenMP:
                  trace: bool = False) -> ParallelResult:
         """Run ``body`` on every thread of the team to completion.
 
-        Dispatches to the batched fast scheduler
+        Runs the batched fast scheduler
         (:func:`repro.openmp.fastpath.parallel_fast`) when ``fast`` is
         enabled; the scalar reference scheduler below is authoritative
-        and produces identical results, race verdicts included.  Only a
-        detection-off region consults the dispatch tiers (region replay
-        and lifted region plans): a replay cannot reproduce a verdict.
+        and produces identical results, race verdicts included.
 
         Args:
             body: Generator function over a :class:`ThreadContext`.
@@ -235,27 +234,8 @@ class OpenMP:
         with obs_span("omp.parallel", n_threads=self.n_threads,
                       path="fast" if self.fast else "reference"):
             if self.fast:
-                # The dispatcher memoizes whole regions per (body,
-                # machine, config, memory-contents) signature; replay
-                # hits skip the scheduler entirely.  Identical replay
-                # requires identical inputs, so a trace request opts
-                # out (the timeline object cannot be replayed), and so
-                # does a detecting region (nor can a race verdict).
-                ticket = None
-                if not (trace or self.detect_races):
-                    from repro.compiler.dispatcher import DISPATCHER
-                    ticket = DISPATCHER.begin_omp(self, body, shared)
-                result = ticket.replay() if ticket is not None else None
-                if result is None and ticket is not None:
-                    # Lifted tier: replay a shape-keyed compiled region
-                    # plan against the fresh contents (tier 0 misses on
-                    # any new input; the plan only needs the structure).
-                    result = ticket.run_lifted()
-                if result is None:
-                    from repro.openmp.fastpath import parallel_fast
-                    result = parallel_fast(self, body, shared, trace)
-                if ticket is not None:
-                    ticket.record(result)
+                from repro.openmp.fastpath import parallel_fast
+                result = parallel_fast(self, body, shared, trace)
             else:
                 result = self._parallel_reference(body, shared, trace)
         if result.trace is not None:
@@ -415,8 +395,8 @@ class OpenMP:
                     held_locks[tid].discard(request.name)
                     charge(tid, Op(kind=PrimitiveKind.OMP_LOCK_RELEASE))
                     continue
-                if self.relaxed_consistency and not isinstance(
-                        request, (rq.Read, rq.Write)):
+                if self.relaxed_consistency and getattr(
+                        request, "flushes", True):
                     # Flushes, atomics, and critical sections are flush
                     # points; plain accesses are not.
                     drain(tid)
@@ -465,14 +445,6 @@ class OpenMP:
         line = self.machine.topology.line_bytes
         return PrivateArrayElement(dtype, stride=line // dtype.size_bytes)
 
-    @staticmethod
-    def _dtype_of(request, memory: dict[str, np.ndarray], var: str):
-        if getattr(request, "dtype", None) is not None:
-            return request.dtype
-        from repro.common.datatypes import INT, dtype_of
-        arr = memory.get(var)
-        return INT if arr is None else dtype_of(arr.dtype)
-
     def _execute(self, request, tid: int, memory: dict[str, np.ndarray],
                  detector: RaceDetector | None,
                  location_threads: dict[tuple[str, int], set[int]],
@@ -480,6 +452,10 @@ class OpenMP:
                  buffer: dict[tuple[str, int], object] | None = None
                  ) -> object:
         """Execute one non-barrier request; returns the produced value.
+
+        A memory request runs from its table entries
+        (:class:`repro.openmp.requests.MemoryRequest`): record, charge,
+        effect.
 
         Args:
             locked: The thread holds at least one lock, so its plain
@@ -506,62 +482,18 @@ class OpenMP:
             raise SimulationError(
                 f"thread {tid} accessed {var}[{idx}] out of bounds "
                 f"(size {arr.size})")
-        dtype = self._dtype_of(request, memory, var)
+        if request.kind is None:
+            raise SimulationError(f"unknown request {request!r}")
+        dtype = request.dtype if request.dtype is not None \
+            else dtype_of(arr.dtype)
         target = self._cost_target(var, idx, dtype, location_threads, tid)
-        flat = arr.reshape(-1)
-
-        # AtomicCapture extends AtomicUpdate; check the subclass first.
-        if isinstance(request, rq.AtomicCapture):
-            self._record(detector, tid, var, idx, AccessKind.ATOMIC_WRITE)
-            charge(tid, Op(kind=PrimitiveKind.OMP_ATOMIC_CAPTURE,
-                           dtype=dtype, target=target))
-            old = flat[idx].item()
-            new = request.func(old)
-            flat[idx] = new
-            return old if request.capture_old else new
-        if isinstance(request, rq.AtomicUpdate):
-            self._record(detector, tid, var, idx, AccessKind.ATOMIC_WRITE)
-            charge(tid, Op(kind=PrimitiveKind.OMP_ATOMIC_UPDATE,
-                           dtype=dtype, target=target))
-            flat[idx] = request.func(flat[idx].item())
-            return None
-        if isinstance(request, rq.AtomicWrite):
-            self._record(detector, tid, var, idx, AccessKind.ATOMIC_WRITE)
-            charge(tid, Op(kind=PrimitiveKind.OMP_ATOMIC_WRITE,
-                           dtype=dtype, target=target))
-            flat[idx] = request.value
-            return None
-        if isinstance(request, rq.AtomicRead):
-            self._record(detector, tid, var, idx, AccessKind.ATOMIC_READ)
-            charge(tid, Op(kind=PrimitiveKind.OMP_ATOMIC_READ,
-                           dtype=dtype, target=target))
-            return flat[idx].item()
-        if isinstance(request, rq.Write):
-            self._record(detector, tid, var, idx,
-                         AccessKind.LOCKED_WRITE if locked
-                         else AccessKind.PLAIN_WRITE)
-            charge(tid, Op(kind=PrimitiveKind.PLAIN_UPDATE,
-                           dtype=dtype, target=target))
-            if buffer is not None:
-                buffer[(var, idx)] = request.value
-            else:
-                flat[idx] = request.value
-            return None
-        if isinstance(request, rq.Read):
-            self._record(detector, tid, var, idx,
-                         AccessKind.LOCKED_READ if locked
-                         else AccessKind.PLAIN_READ)
-            charge(tid, Op(kind=PrimitiveKind.PLAIN_READ,
-                           dtype=dtype, target=target))
-            if buffer is not None and (var, idx) in buffer:
-                return buffer[(var, idx)]
-            return flat[idx].item()
-        raise SimulationError(f"unknown request {request!r}")
+        self._record(detector, tid, var, idx, request.access[locked])
+        charge(tid, Op(kind=request.kind, dtype=dtype, target=target))
+        return request.effect(arr.reshape(-1), idx, buffer)
 
     def _execute_critical(self, request: rq.Critical, tid: int,
                           memory: dict[str, np.ndarray],
                           detector: RaceDetector | None, charge) -> object:
-        from repro.common.datatypes import INT
         dtype = request.dtype or INT
         charge(tid, Op(kind=PrimitiveKind.OMP_CRITICAL_UPDATE, dtype=dtype,
                        target=SharedScalar(dtype)))

@@ -62,7 +62,7 @@ _GPU_BLOCKS = (1, 2, 4)
 KNOWN_ATTR_COUNTERS = (
     "dispatch.hit", "dispatch.miss", "dispatch.shape_hit",
     "dispatch.compile", "dispatch.fallback", "dispatch.lifted_blocks",
-    "dispatch.lifted_regions", "dispatch.evictions", "cache.evictions",
+    "dispatch.evictions", "cache.evictions",
 )
 
 

@@ -54,20 +54,13 @@ def _reference(data: np.ndarray, n_bins: int) -> np.ndarray:
 
 def cpu_histogram(machine: CpuMachine, data: np.ndarray, n_bins: int,
                   n_threads: int = 8,
-                  strategy: str = "privatized",
-                  detect_races: bool = True) -> HistogramOutcome:
-    """Histogram ``data`` (ints in [0, n_bins)) on the OpenMP layer.
-
-    Args:
-        detect_races: Run the race detector (the default).  Both
-            settings run the batched fast scheduler; turning detection
-            off also lets repeated regions use the dispatch tiers.
-    """
+                  strategy: str = "privatized") -> HistogramOutcome:
+    """Histogram ``data`` (ints in [0, n_bins)) on the OpenMP layer."""
     if strategy not in ("atomic", "privatized"):
         raise ConfigurationError(f"unknown CPU strategy {strategy!r}")
     if data.size and (data.min() < 0 or data.max() >= n_bins):
         raise ConfigurationError("data out of bin range")
-    omp = OpenMP(machine, n_threads=n_threads, detect_races=detect_races)
+    omp = OpenMP(machine, n_threads=n_threads)
     shared = {"bins": np.zeros(n_bins, np.int64)}
     if strategy == "privatized":
         row = max(n_bins, _LINE_INTS)

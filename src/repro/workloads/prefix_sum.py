@@ -136,15 +136,8 @@ def gpu_segmented_prefix_sum(device: GpuDevice, data: np.ndarray,
 
 
 def cpu_prefix_sum(machine: CpuMachine, data: np.ndarray,
-                   n_threads: int = 4,
-                   detect_races: bool = True) -> ScanOutcome:
-    """Two-level inclusive scan on the OpenMP layer.
-
-    Args:
-        detect_races: Run the race detector (the default).  Both
-            settings run the batched fast scheduler; turning detection
-            off also lets repeated regions use the dispatch tiers.
-    """
+                   n_threads: int = 4) -> ScanOutcome:
+    """Two-level inclusive scan on the OpenMP layer."""
     n = int(data.size)
     per_thread = -(-n // n_threads) if n else 1
 
@@ -174,8 +167,7 @@ def cpu_prefix_sum(machine: CpuMachine, data: np.ndarray,
                 value = yield tc.read("out", i)
                 yield tc.write("out", i, value + offset)
 
-    omp = OpenMP(machine, n_threads=n_threads,
-                 detect_races=detect_races)
+    omp = OpenMP(machine, n_threads=n_threads)
     shared = {
         "data": data.astype(np.int64),
         "out": np.zeros(max(n, 1), np.int64),

@@ -542,34 +542,6 @@ def test_openmp_fast_path_matches_reference(quiet_cpu, seed):
             ref.memory[name].tobytes(), f"seed {seed}: {name}"
 
 
-@pytest.mark.parametrize("seed", range(N_PROGRAMS))
-def test_openmp_dispatcher_forced_matches_reference(quiet_cpu, seed):
-    """Region replay (forced keying) must be byte-identical to the
-    reference scheduler, cold and warm."""
-    rng = random.Random(2000 + seed)
-    program = _gen_omp_ops(rng)
-    n_threads = rng.choice((2, 4))
-    ref = _run_omp(quiet_cpu, program, n_threads, fast=False)
-    with dispatch_forced():
-        cold = _run_omp(quiet_cpu, program, n_threads, fast=True)
-        hits = counter_value("dispatch.hit")
-        warm = _run_omp(quiet_cpu, program, n_threads, fast=True)
-    assert counter_value("dispatch.hit") > hits, \
-        f"seed {seed}: identical region rerun did not replay"
-    for label, result in (("cold", cold), ("warm", warm)):
-        assert result.elapsed_ns == ref.elapsed_ns, \
-            f"seed {seed} ({label})"
-        assert result.thread_times_ns == ref.thread_times_ns, \
-            f"seed {seed} ({label})"
-        assert result.barriers == ref.barriers, f"seed {seed} ({label})"
-        assert result.requests == ref.requests, f"seed {seed} ({label})"
-        assert set(result.memory) == set(ref.memory)
-        for name in ref.memory:
-            assert result.memory[name].tobytes() == \
-                ref.memory[name].tobytes(), \
-                f"seed {seed} ({label}): {name}"
-
-
 def _detecting_outcome(machine, program, n_threads, fast, collect):
     """Everything a detecting region shows: in collect mode the race
     reports, clocks and counts; in raise mode the error message.  Both
@@ -614,96 +586,3 @@ def test_openmp_fuzz_corpus_races_often(quiet_cpu):
                           detect_races=True, collect_races=True)
         racy += bool(result.races)
     assert racy * 3 >= N_PROGRAMS, f"only {racy}/{N_PROGRAMS} race"
-
-
-# ------------------- OpenMP lifted tier (tier 1) --------------------- #
-
-
-def _gen_steady_omp_ops(rng):
-    """A random *steady* region: fixed control flow, concrete indices,
-    values flowing only through lift-able arithmetic (no ``int()``
-    coercions) — every generated program must lift, so a fallback is a
-    failure, not a skip."""
-    ops = []
-    for _ in range(rng.randint(3, 9)):
-        kind = rng.choice(("read", "write", "atomic_update",
-                           "atomic_capture", "barrier"))
-        if kind == "read":
-            ops.append(("read", rng.choice(("a", "b")),
-                        rng.randrange(16), rng.randrange(1, 5)))
-        elif kind == "write":
-            ops.append(("write", rng.randrange(7)))
-        elif kind == "atomic_update":
-            ops.append(("atomic_update", rng.randrange(4),
-                        rng.randrange(1, 9)))
-        elif kind == "atomic_capture":
-            ops.append(("atomic_capture", rng.randrange(4),
-                        rng.randrange(1, 9)))
-        else:
-            ops.append(("barrier",))
-    ops.append(("write", 0))  # every thread publishes its accumulator
-    return ops
-
-
-def _make_steady_omp_body(ops):
-    def body(tc):
-        acc = tc.tid
-        for op in ops:
-            if op[0] == "read":
-                value = yield tc.read(op[1], (tc.tid + op[2]) % 16)
-                acc = acc + value * op[3]
-            elif op[0] == "write":
-                yield tc.write("out", tc.tid, acc + op[1])
-            elif op[0] == "atomic_update":
-                _, slot, val = op
-                yield tc.atomic_update("acc", slot,
-                                       lambda cur, v=val: cur + v)
-            elif op[0] == "atomic_capture":
-                _, slot, val = op
-                old = yield tc.atomic_capture(
-                    "acc", slot, lambda cur, v=val: cur + v)
-                acc = acc + old
-            else:
-                yield tc.barrier()
-    return body
-
-
-def _steady_omp_shared(n_threads, salt):
-    return {"a": (np.arange(16, dtype=np.int64) * 5 + salt) % 43,
-            "b": (np.arange(16, dtype=np.int64) * 11 + salt) % 31,
-            "acc": np.zeros(4, np.int64),
-            "out": np.zeros(n_threads, np.int64)}
-
-
-@pytest.mark.parametrize("seed", range(N_PROGRAMS // 2))
-def test_openmp_lifted_tier_matches_reference(quiet_cpu, seed):
-    """Byte-identity of tier-1 region plans, with the plan provably
-    executing (fresh shared contents defeat tier-0 replay; the
-    ``dispatch.lifted_regions`` tripwire defeats a silent fallback)."""
-    from repro.compiler.dispatcher import DISPATCHER
-    rng = random.Random(7000 + seed)
-    ops = _gen_steady_omp_ops(rng)
-    body = _make_steady_omp_body(ops)
-    n_threads = rng.choice((2, 4))
-    DISPATCHER.clear()
-    with dispatch_forced():
-        omp = OpenMP(quiet_cpu, n_threads=n_threads, detect_races=False)
-        omp.parallel(body, _steady_omp_shared(n_threads, 0))  # capture
-        lifted = counter_value("dispatch.lifted_regions")
-        hits = counter_value("dispatch.shape_hit")
-        fast_shared = _steady_omp_shared(n_threads, 1)
-        fast = omp.parallel(body, fast_shared)
-    assert counter_value("dispatch.lifted_regions") > lifted, \
-        f"seed {seed}: the region plan never executed"
-    assert counter_value("dispatch.shape_hit") > hits, \
-        f"seed {seed}: fresh contents did not shape-hit"
-    ref_shared = _steady_omp_shared(n_threads, 1)
-    ref = OpenMP(quiet_cpu, n_threads=n_threads, detect_races=False,
-                 fast=False).parallel(body, ref_shared)
-    assert fast.elapsed_ns == ref.elapsed_ns, f"seed {seed}"
-    assert fast.thread_times_ns == ref.thread_times_ns, f"seed {seed}"
-    assert fast.barriers == ref.barriers, f"seed {seed}"
-    assert fast.requests == ref.requests, f"seed {seed}"
-    for name in ref_shared:
-        assert fast_shared[name].tobytes() == \
-            ref_shared[name].tobytes(), f"seed {seed}: {name}"

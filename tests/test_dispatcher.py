@@ -27,7 +27,9 @@ from repro.cuda.interpreter import Cuda, KernelThread
 from repro.gpu.costs import GpuCostParams
 from repro.gpu.device import GpuDevice
 from repro.gpu.spec import LaunchConfig
-from repro.obs.metrics import counter_value
+from repro.obs.metrics import (
+    counter_value, counters_delta, counters_snapshot,
+)
 from repro.openmp.interpreter import OpenMP
 
 
@@ -386,52 +388,21 @@ def omp_body(tc):
     yield tc.atomic_write("out", tc.tid, value + tc.tid)
 
 
-class TestOmpReplay:
-    def _shared(self):
-        return {"hist": np.zeros(2, dtype=np.int64),
-                "out": np.zeros(4, dtype=np.int64)}
-
-    def test_miss_then_hit_byte_identical(self, quiet_cpu):
+class TestOpenMPBypass:
+    def test_forced_dispatch_leaves_openmp_regions_alone(self, quiet_cpu):
+        """OpenMP regions run on the batched scheduler without consulting
+        the dispatcher, even when forced on and with detection off."""
         DISPATCHER.clear()
-        omp = OpenMP(quiet_cpu, n_threads=4, detect_races=False)
-        before = _counters("dispatch.hit", "dispatch.miss")
-        first = self._shared()
-        cold = omp.parallel(omp_body, first)
-        warm_shared = self._shared()
-        warm = omp.parallel(omp_body, warm_shared)
-        d = _deltas(before)
-        assert d["dispatch.miss"] == 1 and d["dispatch.hit"] == 1
-        ref_shared = self._shared()
-        ref = OpenMP(quiet_cpu, n_threads=4, detect_races=False,
-                     fast=False).parallel(omp_body, ref_shared)
-        assert _snapshot(warm_shared) == _snapshot(ref_shared)
-        assert warm.elapsed_ns == cold.elapsed_ns == ref.elapsed_ns
-        assert warm.thread_times_ns == ref.thread_times_ns
-        assert warm.barriers == ref.barriers
-        assert warm.requests == ref.requests
-
-    def test_smaller_step_budget_refuses_replay(self, quiet_cpu):
-        DISPATCHER.clear()
-        OpenMP(quiet_cpu, n_threads=4,
-               detect_races=False).parallel(omp_body, self._shared())
-        before = _counters("dispatch.hit", "dispatch.miss")
-        tight = OpenMP(quiet_cpu, n_threads=4, detect_races=False,
-                       max_steps=1_000)
-        tight.parallel(omp_body, self._shared())
-        d = _deltas(before)
-        assert d["dispatch.miss"] == 1 and d["dispatch.hit"] == 0
-
-    def test_thread_count_part_of_key(self, quiet_cpu):
-        DISPATCHER.clear()
-        OpenMP(quiet_cpu, n_threads=4,
-               detect_races=False).parallel(omp_body, self._shared())
-        before = _counters("dispatch.hit", "dispatch.miss")
-        two = {"hist": np.zeros(2, dtype=np.int64),
-               "out": np.zeros(2, dtype=np.int64)}
-        OpenMP(quiet_cpu, n_threads=2,
-               detect_races=False).parallel(omp_body, two)
-        d = _deltas(before)
-        assert d["dispatch.miss"] == 1 and d["dispatch.hit"] == 0
+        before = counters_snapshot(("dispatch.",))
+        with dispatch_forced():
+            for _ in range(2):
+                shared = {"hist": np.zeros(2, dtype=np.int64),
+                          "out": np.zeros(4, dtype=np.int64)}
+                OpenMP(quiet_cpu, n_threads=4,
+                       detect_races=False).parallel(omp_body, shared)
+                assert shared["out"].tolist() == [2, 3, 4, 5]
+        assert counters_delta(before, ("dispatch.",)) == {}
+        assert DISPATCHER.stats()["entries"] == 0
 
 
 # --------------------------------------------------------------------- #

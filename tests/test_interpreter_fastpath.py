@@ -24,6 +24,7 @@ from repro.cuda.interpreter import Cuda
 from repro.gpu.spec import LaunchConfig
 from repro.obs.metrics import counter_value
 from repro.openmp.interpreter import OpenMP
+from repro.openmp.race import RaceDetector
 from repro.workloads.bfs import gpu_bfs, random_graph
 from repro.workloads.histogram import cpu_histogram, gpu_histogram
 from repro.workloads.prefix_sum import (
@@ -441,42 +442,68 @@ class TestOpenMPEquivalence:
 
 
 class TestCpuWorkloads:
-    """CPU workloads, fast default vs reference engine."""
+    """CPU workloads, fast default vs reference engine.
+
+    The workloads always run the race detector; the ``detecting`` cases
+    also pin that both schedulers feed it the same number of accesses.
+    """
 
     @staticmethod
-    def _histogram_both(machine, strategy, detect_races):
+    def _histogram_both(machine, strategy):
         data = (np.arange(256) * 271) % 16
         fast = cpu_histogram(machine, data, 16, n_threads=4,
-                             strategy=strategy, detect_races=detect_races)
+                             strategy=strategy)
         with reference_engine():
             ref = cpu_histogram(machine, data, 16, n_threads=4,
-                                strategy=strategy,
-                                detect_races=detect_races)
+                                strategy=strategy)
         assert ref.correct
         _assert_outcomes_equal(fast, ref)
 
     @staticmethod
-    def _prefix_sum_both(machine, detect_races):
+    def _prefix_sum_both(machine):
         data = (np.arange(200) * 31) % 100
-        fast = cpu_prefix_sum(machine, data, n_threads=4,
-                              detect_races=detect_races)
+        fast = cpu_prefix_sum(machine, data, n_threads=4)
         with reference_engine():
-            ref = cpu_prefix_sum(machine, data, n_threads=4,
-                                 detect_races=detect_races)
+            ref = cpu_prefix_sum(machine, data, n_threads=4)
         assert ref.correct
         _assert_outcomes_equal(fast, ref)
+
+    @staticmethod
+    def _count_records(monkeypatch):
+        """Count RaceDetector.record calls per detector (one per region).
+
+        The returned dict keeps each detector alive, so no two regions
+        can share an ``id``.
+        """
+        counts = {}
+        original = RaceDetector.record
+
+        def record(self, tid, var, idx, kind):
+            entry = counts.setdefault(id(self), [self, 0])
+            entry[1] += 1
+            return original(self, tid, var, idx, kind)
+
+        monkeypatch.setattr(RaceDetector, "record", record)
+        return counts
 
     @pytest.mark.parametrize("strategy", ["atomic", "privatized"])
     def test_histogram_matches_reference(self, quiet_cpu, strategy):
-        self._histogram_both(quiet_cpu, strategy, detect_races=False)
+        self._histogram_both(quiet_cpu, strategy)
 
     def test_prefix_sum_matches_reference(self, quiet_cpu):
-        self._prefix_sum_both(quiet_cpu, detect_races=False)
+        self._prefix_sum_both(quiet_cpu)
 
     @pytest.mark.parametrize("strategy", ["atomic", "privatized"])
     def test_detecting_histogram_matches_reference(self, quiet_cpu,
-                                                   strategy):
-        self._histogram_both(quiet_cpu, strategy, detect_races=True)
+                                                   strategy, monkeypatch):
+        counts = self._count_records(monkeypatch)
+        self._histogram_both(quiet_cpu, strategy)
+        fast_n, ref_n = (n for _, n in counts.values())
+        assert fast_n == ref_n > 0
 
-    def test_detecting_prefix_sum_matches_reference(self, quiet_cpu):
-        self._prefix_sum_both(quiet_cpu, detect_races=True)
+    def test_detecting_prefix_sum_matches_reference(self, quiet_cpu,
+                                                    monkeypatch):
+        counts = self._count_records(monkeypatch)
+        self._prefix_sum_both(quiet_cpu)
+        fast_n, ref_n = (n for _, n in counts.values())
+        assert fast_n == ref_n > 0

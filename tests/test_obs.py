@@ -262,8 +262,6 @@ class TestInterpreterCounters:
             before == 3
 
     def test_omp_round_counters_reconcile(self, quiet_cpu):
-        from repro.compiler.dispatcher import dispatch_disabled
-
         def body(tc):
             yield tc.atomic_update("counter", 0, lambda v: v + 1)
             yield tc.barrier()
@@ -273,12 +271,8 @@ class TestInterpreterCounters:
                 ("interp.omp.uniform_rounds",
                  "interp.omp.fallback_rounds", "interp.omp.rounds",
                  "interp.omp.regions_fast")}
-        # The dispatcher's lifted tier would serve this steady region
-        # without a single fast-path round; these counters are the fast
-        # tier's, so pin the region to it.
-        with dispatch_disabled():
-            OpenMP(quiet_cpu, n_threads=4, detect_races=False).parallel(
-                body, shared={"counter": np.zeros(1, np.int64)})
+        OpenMP(quiet_cpu, n_threads=4, detect_races=False).parallel(
+            body, shared={"counter": np.zeros(1, np.int64)})
         deltas = {name: counter_value(name) - base[name]
                   for name in base}
         assert deltas["interp.omp.regions_fast"] == 1
