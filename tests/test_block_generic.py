@@ -16,6 +16,7 @@ mutated cost parameter.
 
 from __future__ import annotations
 
+import operator
 import random
 import sys
 
@@ -28,6 +29,7 @@ from repro.compiler.dispatcher import (
 )
 from repro.compiler.lift import kernel_purity
 from repro.cuda.interpreter import Cuda
+from repro.cuda.requests import FENCE_KINDS
 from repro.gpu.spec import LaunchConfig
 from repro.obs.metrics import counter_value
 
@@ -303,9 +305,13 @@ def _same_value(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
+_UNARY = {"neg": operator.neg, "pos": operator.pos,
+          "invert": operator.invert, "abs": operator.abs}
+
+
 def _apply_node(node, env, b):
     """Evaluate a value expression one operator call per node."""
-    from repro.compiler.lift import _BINFN, _MINMAX, _UNFN
+    from repro.compiler.lift import _BINFN, _MINMAX
     tag = node[0]
     if tag == "k":
         return node[1]
@@ -319,7 +325,7 @@ def _apply_node(node, env, b):
     if tag == "m":
         return _MINMAX[node[1]](_apply_node(node[2], env, b),
                                 _apply_node(node[3], env, b))
-    return _UNFN[node[1]](_apply_node(node[2], env, b))
+    return _UNARY[node[1]](_apply_node(node[2], env, b))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -352,11 +358,14 @@ N_PROGRAMS = 50
 #: Module global every generated kernel reads; the fuzz rebinds it.
 FUZZ_SCALE = 1
 
-_TOP_ONLY = ("sync", "ballot", "any", "shfl", "rmax")
+_TOP_ONLY = ("sync", "syncpred", "ballot", "any", "shfl", "rmax")
 _ANYWHERE = ("alu", "gread", "gwrite", "swrite", "sread", "atomic",
-             "syncwarp", "max")
+             "syncwarp", "fence", "activemask", "max")
 _READ_MODES = ("gid", "rev", "stride", "blk", "mod", "const")
-_ATOMIC_KINDS = ("add", "max", "min", "or", "xor", "exch")
+_ATOMIC_KINDS = ("add", "sub", "and", "or", "xor", "max", "min", "inc",
+                 "dec", "cas", "exch")
+_ATOMIC_VARS = ("acc", "buf")  # global, and block-shared
+_SYNC_VARIANTS = ("count", "and", "or")
 _COND_KINDS = ("lane", "gid", "blk", "blkmul")
 _COST_FIELDS = ("alu_cycles", "global_load_cycles",
                 "uncoalesced_penalty_cycles", "divergence_cycles")
@@ -378,8 +387,17 @@ def _gen_program(rng, grid: int, block: int) -> tuple:
         elif kind in ("swrite", "sread"):
             op = (kind, rng.choice(("tid", "rot")), rng.randint(1, 5))
         elif kind == "atomic":
-            op = ("atomic", rng.choice(_ATOMIC_KINDS), rng.randint(0, 7),
+            op = ("atomic", rng.choice(_ATOMIC_KINDS),
+                  rng.choice(_ATOMIC_VARS), rng.randint(0, 7),
                   rng.randint(1, 3))
+        elif kind == "fence":
+            op = ("fence", rng.choice(tuple(FENCE_KINDS)))
+        elif kind == "syncpred":
+            # Predicates on lane and block indices only: a barrier's
+            # value steers no control flow, but a predicate read from
+            # memory would make capture escape.
+            op = ("syncpred", rng.choice(_SYNC_VARIANTS),
+                  rng.choice(("lane", "blk", "gid")), rng.randint(0, 7))
         elif kind in ("ballot", "shfl"):
             op = (kind, rng.randint(1, 3))
         elif kind == "max":
@@ -443,27 +461,57 @@ def _make_fuzz_kernel(program, cut, bias):
                         v = yield t.shared_read("buf", idx)
                         acc = acc + v
                 elif kind == "atomic":
-                    _, name, slot, val = op
+                    _, name, var, slot, val = op
                     value = acc % 5 + val
                     if name == "add":
-                        v = yield t.atomic_add("acc", slot, value)
-                    elif name == "max":
-                        v = yield t.atomic_max("acc", slot, value)
-                    elif name == "min":
-                        v = yield t.atomic_min("acc", slot, value)
+                        v = yield t.atomic_add(var, slot, value)
+                    elif name == "sub":
+                        v = yield t.atomic_sub(var, slot, value)
+                    elif name == "and":
+                        v = yield t.atomic_and(var, slot, value)
                     elif name == "or":
-                        v = yield t.atomic_or("acc", slot, value)
+                        v = yield t.atomic_or(var, slot, value)
                     elif name == "xor":
-                        v = yield t.atomic_xor("acc", slot, value)
+                        v = yield t.atomic_xor(var, slot, value)
+                    elif name == "max":
+                        v = yield t.atomic_max(var, slot, value)
+                    elif name == "min":
+                        v = yield t.atomic_min(var, slot, value)
+                    elif name == "inc":
+                        v = yield t.atomic_inc(var, slot, value)
+                    elif name == "dec":
+                        v = yield t.atomic_dec(var, slot, value)
+                    elif name == "cas":
+                        v = yield t.atomic_cas(var, slot, acc % 3, value)
                     else:
-                        v = yield t.atomic_exch("acc", slot, value)
+                        v = yield t.atomic_exch(var, slot, value)
                     acc = acc + v
                 elif kind == "syncwarp":
                     yield t.syncwarp()
+                elif kind == "fence":
+                    yield t.threadfence(op[1])
+                elif kind == "activemask":
+                    v = yield t.activemask()
+                    acc = acc + v % 7
                 elif kind == "max":
                     acc = max(acc, op[1] + t.blockIdx)
                 elif kind == "sync":
                     yield t.syncthreads()
+                elif kind == "syncpred":
+                    _, variant, pmode, k = op
+                    if pmode == "lane":
+                        pred = t.lane % (k + 2) == 0
+                    elif pmode == "blk":
+                        pred = t.blockIdx == k % t.gridDim
+                    else:
+                        pred = t.global_id < cut
+                    if variant == "count":
+                        v = yield t.syncthreads_count(pred)
+                    elif variant == "and":
+                        v = yield t.syncthreads_and(pred)
+                    else:
+                        v = yield t.syncthreads_or(pred)
+                    acc = acc + v
                 elif kind == "ballot":
                     v = yield t.ballot_sync(t.lane % (op[1] + 1) == 0)
                     acc = acc + v
