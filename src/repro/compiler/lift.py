@@ -32,12 +32,13 @@ of that bet:
   admits.  A launch grid is then served by a handful of variants (one
   per distinct control path), not one capture per block.
 
-Every replayed effect reproduces the exact numpy operation sequence of
-the tier it stands in for: uniform warp passes mirror
-:func:`repro.cuda.fastpath.run_block_fast` (gathers via ``take``,
-duplicate-target writes in lane order, atomic groups through the
-request table's applier :func:`repro.cuda.requests.apply_atomics` in
-the mode it chooses), and mixed-class passes mirror the reference pass
+Capture runs the warp-pass loop and uniform-pass rules the fast tier
+runs (:class:`repro.cuda.warppass.WarpPasses`), over a symbolic memory
+backend.  A uniform pass therefore records the very effect the fast
+tier applies (a gather via ``take``, duplicate-target writes in lane
+order, an atomic group through the request table's applier
+:func:`repro.cuda.requests.apply_atomics` in the mode it chooses),
+priced by the same rule; a mixed-class pass records the reference pass
 semantics of :meth:`repro.cuda.interpreter.Cuda._process_gathered`
 (per-lane scalar effects, per-group costs, divergence penalties).
 Plan execution is therefore byte-identical to the fast tier — which is
@@ -61,7 +62,13 @@ from dataclasses import fields as _dc_fields
 
 import numpy as np
 
+from repro.common.datatypes import DOUBLE, INT
+from repro.common.errors import SimulationError
+from repro.cuda import requests as rq
+from repro.cuda.interpreter import (
+    Cuda, LaunchStats, _LaneState, active_mask, start_block)
 from repro.cuda.requests import apply_atomics
+from repro.cuda.warppass import WarpPasses
 
 
 class CaptureEscape(Exception):
@@ -79,10 +86,6 @@ _BINFN = {
     "^": operator.xor, "<<": operator.lshift, ">>": operator.rshift,
     "==": operator.eq, "!=": operator.ne, "<": operator.lt,
     "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-}
-_UNFN = {
-    "neg": operator.neg, "pos": operator.pos,
-    "invert": operator.invert, "abs": operator.abs,
 }
 _MINMAX = {"max": max, "min": min}
 _CMP_OPS = frozenset(("==", "!=", "<", "<=", ">", ">="))
@@ -974,85 +977,51 @@ class BlockPlan:
 #: Per-block effect ceiling: plans beyond this are not worth the memory.
 EFFECT_CAP = 150_000
 
+_READS = {rq.GlobalRead: False, rq.SharedRead: True}
+_WRITES = {rq.GlobalWrite: False, rq.SharedWrite: True}
 
-def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
-                          mem_info: dict[str, tuple[int, np.dtype]],
-                          shared_decls: dict[str, tuple[int, np.dtype]],
-                          step_cap: int) -> BlockPlan:
-    """Dry-run block ``block_idx`` with symbolic values and a symbolic
-    block index, and record the plan variant it proves.
 
-    The returned plan's guard admits ``block_idx`` and every other block
-    for which all decisions taken on the block index come out the same.
+class _Capture(WarpPasses):
+    """Capture's memory backend for the shared warp-pass code.
 
-    Raises:
-        CaptureEscape: when the kernel is not steady (control flow,
-            indices, variants, or collectives depend on data), goes out
-            of bounds, or exceeds ``step_cap``/:data:`EFFECT_CAP` — the
-            caller falls back to the ordinary fast tier.
+    A handle is ``(in_shared, var, dtype, bases, coeffs)``: each lane's
+    index is ``base + coeff*b`` in the symbolic block index, guarded in
+    bounds.  Counts taken over indices (sectors, distinct addresses) are
+    taken at the capture block ``b0`` and pin the guard unless they are
+    the same in every admitted block.  Effects are recorded for the
+    plan, and every value a read or atomic produces is a :class:`Sym`.
     """
-    from repro.common.datatypes import DOUBLE, INT
-    from repro.common.errors import SimulationError
-    from repro.compiler.ops import Scope
-    from repro.cuda import requests as rq
-    from repro.cuda.interpreter import (
-        Cuda, LaunchStats, Prices, _LaneState, active_mask, start_block)
 
-    _READS = {rq.GlobalRead: False, rq.SharedRead: True}
-    _WRITES = {rq.GlobalWrite: False, rq.SharedWrite: True}
+    def __init__(self, cuda, kernel, launch, ctx, block_idx: int,
+                 mem_info, shared_decls, step_cap: int) -> None:
+        self.cuda = cuda
+        self.guard = BlockGuard(block_idx, launch.grid_blocks)
+        self.b0 = block_idx
+        self.mem_info = mem_info
+        self.step_cap = step_cap
+        self.steps = 0
+        self.effects: list = []
+        self.n_slots = 0
+        shared_info = {name: (size, np.dtype(dt))
+                       for name, (size, dt) in shared_decls.items()}
+        warps = start_block(_symbolic_clone(kernel), launch,
+                            BlockAffine(0, 1, self.guard))
+        super().__init__(cuda.device, ctx, launch, warps, shared_info,
+                         LaunchStats())
 
-    device = cuda.device
-    params = device.params
-    alu_cycles = params.alu_cycles
-    global_load_cycles = params.global_load_cycles
-    uncoalesced = params.uncoalesced_penalty_cycles
+    # ------------------------- index handling ------------------------- #
 
-    guard = BlockGuard(block_idx, launch.grid_blocks)
-    b0 = block_idx
-    symbolic_kernel = _symbolic_clone(kernel)
-    shared_info = {name: (size, np.dtype(dt))
-                   for name, (size, dt) in shared_decls.items()}
-    stats = LaunchStats()
-    effects: list = []
-    n_slots = 0
-    steps_total = 0
-
-    warps = start_block(symbolic_kernel, launch, BlockAffine(0, 1, guard))
-    prices = Prices(device, ctx, launch)
-    warp_clocks = [0.0] * len(warps)
-    issuing_warps: dict[tuple, set[int]] = {}
-
-    RUNNING = _LaneState.RUNNING
-    DONE = _LaneState.DONE
-    BARRIER = _LaneState.BARRIER
-    COLLECTIVE = _LaneState.COLLECTIVE
-
-    total_lanes = sum(len(lanes) for lanes in warps)
-    done_lanes = 0
-    barrier_waiting = False
-
-    def new_slot() -> int:
-        nonlocal n_slots
-        slot = n_slots
-        n_slots += 1
-        return slot
-
-    def bind_results(glanes, slot: int, np_dtype) -> None:
-        kind = "f" if np_dtype.kind == "f" else \
-            "i" if np_dtype.kind in "iub" else None
-        for pos, lane in enumerate(glanes):
-            lane.pending = Sym(("s", slot, pos), kind)
-
-    def declared(var, info):
+    def declared(self, var, in_shared: bool):
         if type(var) is Sym or not isinstance(var, str):
             raise CaptureEscape("data-dependent variable name")
-        entry = info.get(var)
+        entry = (self.shared if in_shared else self.mem_info).get(var)
         if entry is None:
             raise CaptureEscape(f"undeclared variable {var!r}")
         return entry
 
-    def affine_indices(reqs, size: int):
+    def affine_indices(self, reqs, size: int):
         """Per-lane ``(base, coeff)`` index pairs, guarded in bounds."""
+        guard, b0 = self.guard, self.b0
         bases, coeffs = [], []
         for r in reqs:
             idx = r.idx
@@ -1073,209 +1042,107 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
             coeffs.append(coeff)
         return bases, coeffs
 
-    def encode(bases, coeffs):
-        c0 = coeffs[0]
-        if all(c == c0 for c in coeffs):
-            coeff = c0 or None
-        else:
-            coeff = np.array(coeffs, dtype=np.intp)
-        return np.array(bases, dtype=np.intp), coeff
-
-    def lane_invariant(coeffs, itemsize: int = 0) -> None:
+    def lane_invariant(self, coeffs, itemsize: int = 0) -> None:
         """Pin unless a count over these indices is the same in every
         admitted block: a shared coefficient keeps address collisions
         fixed, and one moving whole 32-byte sectors keeps the coalescing
         count fixed too (``itemsize`` > 0)."""
         c0 = coeffs[0]
         if any(c != c0 for c in coeffs) or (c0 * itemsize) % 32:
-            guard.pin()
+            self.guard.pin()
 
-    def at_b0(bases, coeffs) -> list[int]:
-        return [base + c * b0 for base, c in zip(bases, coeffs)]
-
-    def sector_count(entries) -> int:
+    def sector_count(self, entries) -> int:
         """Distinct (var, sector) pairs over ``(var, base, coeff,
         itemsize)`` entries — the reference coalescing rule."""
         by_var: dict[str, list] = {}
         for var, _, coeff, itemsize in entries:
             by_var.setdefault(var, [itemsize]).append(coeff)
         for itemsize, *coeffs in by_var.values():
-            lane_invariant(coeffs, itemsize)
+            self.lane_invariant(coeffs, itemsize)
+        b0 = self.b0
         return len({(var, (base + coeff * b0) * itemsize // 32)
                     for var, base, coeff, itemsize in entries})
 
-    # ------------------------- uniform passes ------------------------- #
-    # Mirror the fast tier's batched handlers; return None where the
-    # fast tier would fall back to the reference pass semantics.
+    def new_slot(self, glanes, dtype) -> int:
+        """A value slot for one effect's per-lane results, bound to the
+        lanes as :class:`Sym` placeholders."""
+        slot = self.n_slots
+        self.n_slots += 1
+        kind = "f" if dtype.kind == "f" else \
+            "i" if dtype.kind in "iub" else None
+        for pos, lane in enumerate(glanes):
+            lane.pending = Sym(("s", slot, pos), kind)
+        return slot
 
-    def u_read(glanes, reqs, in_shared: bool):
+    # ------------------------- backend hooks -------------------------- #
+
+    def charge(self, n_steps: int) -> None:
+        self.steps += n_steps
+        if self.steps > self.step_cap:
+            raise CaptureEscape("step budget reached in capture")
+        if len(self.effects) > EFFECT_CAP:
+            raise CaptureEscape("plan too large")
+
+    def resolve(self, in_shared, reqs):
         var = reqs[0].var
-        size, dtype = declared(var, shared_info if in_shared else mem_info)
+        size, dtype = self.declared(var, in_shared)
         for r in reqs:
             if r.var != var:
                 return None
-        bases, coeffs = affine_indices(reqs, size)
-        slot = new_slot()
-        effects.append(("r", in_shared, var, *encode(bases, coeffs), slot))
-        bind_results(glanes, slot, dtype)
-        if in_shared:
-            stats.shared_accesses += len(bases)
-            return alu_cycles
-        stats.global_accesses += len(bases)
-        return sector_cost(var, bases, coeffs, dtype.itemsize)
+        return (in_shared, var, dtype,
+                *self.affine_indices(reqs, size))
 
-    def u_write(reqs, in_shared: bool):
-        var = reqs[0].var
-        size, dtype = declared(var, shared_info if in_shared else mem_info)
-        for r in reqs:
-            if r.var != var:
-                return None
-        bases, coeffs = affine_indices(reqs, size)
-        lane_invariant(coeffs)
-        idx = at_b0(bases, coeffs)
-        effects.append(("w", in_shared, var, *encode(bases, coeffs),
-                        _value_spec([r.value for r in reqs]),
-                        len(set(idx)) == len(idx)))
-        if in_shared:
-            stats.shared_accesses += len(idx)
-            return alu_cycles
-        stats.global_accesses += len(idx)
-        return sector_cost(var, bases, coeffs, dtype.itemsize)
-
-    def sector_cost(var, bases, coeffs, itemsize) -> float:
-        n_sectors = sector_count([(var, base, c, itemsize)
+    def n_sectors(self, handle) -> int:
+        _, var, dtype, bases, coeffs = handle
+        return self.sector_count([(var, base, c, dtype.itemsize)
                                   for base, c in zip(bases, coeffs)])
-        cost = global_load_cycles
-        if n_sectors > 1:
-            cost += uncoalesced * (n_sectors - 1)
-        return cost
 
-    def uniform_pass(warp_id, lanes, glanes, reqs, cls):
-        nonlocal barrier_waiting
-        if cls is rq.Alu:
-            return alu_cycles * max([r.n for r in reqs])
-        if cls in _READS:
-            return u_read(glanes, reqs, _READS[cls])
-        if cls in _WRITES:
-            return u_write(reqs, _WRITES[cls])
-        if cls is rq.Syncwarp:
-            stats.syncwarps += len(reqs)
-            return prices.op(cls.kind)
-        if cls is rq.Threadfence:
-            stats.fences += len(reqs)
-            return max([prices.op(r.kind) for r in reqs])
-        if cls is rq.Activemask:
-            mask = active_mask(lanes)
-            for lane in glanes:
-                lane.pending = mask
-            return alu_cycles
-        if cls in rq.BARRIERS:
-            for lane, r in zip(glanes, reqs):
-                lane.state = BARRIER
-                lane.barrier_request = r
-            barrier_waiting = True
-            return 0.0
-        if cls in rq.COLLECTIVES:
-            for lane, r in zip(glanes, reqs):
-                lane.state = COLLECTIVE
-                lane.collective = r
-            return 0.0
-        if cls in rq.ATOMICS:
-            first = reqs[0]
-            var, scope = first.var, first.scope
-            for r in reqs:
-                if r.var != var or r.scope is not scope:
-                    return None
-            return record_atomic(warp_id, glanes, reqs, cls, var, scope,
-                                 serial=False)
-        return None
+    def n_addresses(self, handle) -> int:
+        bases, coeffs = handle[3], handle[4]
+        self.lane_invariant(coeffs)
+        b0 = self.b0
+        return len({base + c * b0 for base, c in zip(bases, coeffs)})
 
-    def record_atomic(warp_id, glanes, reqs, cls, var, scope,
-                      serial: bool) -> float:
-        """One atomic group, in lane order.  ``serial`` (a mixed pass)
-        replays the reference's scalar loop; otherwise the applier's
-        mode for the observed collision pattern, as the fast tier."""
-        in_shared = var in shared_info
-        size, dtype = declared(var, shared_info if in_shared else mem_info)
-        bases, coeffs = affine_indices(reqs, size)
-        lane_invariant(coeffs)
-        idx = at_b0(bases, coeffs)
-        n_lanes = len(idx)
-        effective_scope = Scope.BLOCK if in_shared else scope
-        if effective_scope is Scope.BLOCK:
-            stats.block_atomics += n_lanes
-        else:
-            stats.global_atomics += n_lanes
-        n_addresses = len(set(idx))
-        mode = "s" if serial \
-            else rq.atomic_mode(cls, dtype, n_lanes, n_addresses)
+    def dtype(self, handle):
+        return handle[2]
+
+    def load(self, handle, glanes) -> None:
+        in_shared, var, dtype, bases, coeffs = handle
+        self.effects.append(("r", in_shared, var, *_encode(bases, coeffs),
+                             self.new_slot(glanes, dtype)))
+
+    def store(self, handle, reqs, distinct: bool) -> None:
+        in_shared, var, _, bases, coeffs = handle
+        self.effects.append(("w", in_shared, var, *_encode(bases, coeffs),
+                             _value_spec([r.value for r in reqs]),
+                             distinct))
+
+    def atomics(self, cls, handle, glanes, reqs, mode: str) -> None:
+        in_shared, var, dtype, bases, coeffs = handle
         vspec = _value_spec([r.value for r in reqs])
         cspec = _value_spec([r.compare for r in reqs]) \
             if cls is rq.AtomicCas else None
-        slot = new_slot()
-        effects.append(("a", cls, in_shared, var,
-                        *encode(bases, coeffs), slot, vspec, cspec, mode))
-        bind_results(glanes, slot, dtype)
-        seen = issuing_warps.setdefault((cls.kind, var), set())
-        seen.add(warp_id)
-        return prices.atomic(cls.kind, dtype, effective_scope, n_addresses,
-                             n_lanes, len(seen))
+        self.effects.append(("a", cls, in_shared, var,
+                             *_encode(bases, coeffs),
+                             self.new_slot(glanes, dtype), vspec, cspec,
+                             mode))
 
-    # -------------------------- mixed passes -------------------------- #
-
-    def mixed_simple(lane, r, sector_entries) -> float:
-        """One lane's non-atomic request, as ``Cuda._execute_simple``."""
-        cls = r.__class__
-        if cls is rq.Alu:
-            return alu_cycles * r.n
-        if cls is rq.Syncwarp:
-            stats.syncwarps += 1
-            return prices.op(r.kind)
-        if cls is rq.Threadfence:
-            stats.fences += 1
-            return prices.op(r.kind)
-        is_read = cls in _READS
-        if not is_read and cls not in _WRITES:
-            raise CaptureEscape(f"unsupported request {cls.__name__} in "
-                                f"steady capture")
-        in_shared = _READS[cls] if is_read else _WRITES[cls]
-        var = r.var
-        size, dtype = declared(var, shared_info if in_shared else mem_info)
-        bases, coeffs = affine_indices([r], size)
-        if not in_shared:
-            sector_entries.setdefault(cls, []).append(
-                (var, bases[0], coeffs[0], dtype.itemsize))
-        if is_read:
-            slot = new_slot()
-            effects.append(("r", in_shared, var, *encode(bases, coeffs),
-                            slot))
-            bind_results([lane], slot, dtype)
-        else:
-            effects.append(("w", in_shared, var, *encode(bases, coeffs),
-                            _value_spec([r.value]), False))
-        if in_shared:
-            stats.shared_accesses += 1
-            return alu_cycles
-        stats.global_accesses += 1
-        return global_load_cycles
-
-    def mixed_pass(warp_id, lanes, glanes, reqs) -> float:
-        """Mirror of ``Cuda._process_gathered`` (the reference pass)."""
-        nonlocal barrier_waiting
+    def mixed(self, warp_id, lanes, glanes, reqs):
+        """``Cuda._process_gathered`` on symbolic values: per-lane
+        effects in lane order, per-group costs, the divergence charge."""
         group_costs: dict = {}
         atomic_groups: dict = {}
         sector_entries: dict = {}
         for lane, r in zip(glanes, reqs):
             if isinstance(r, rq.Syncthreads):
-                lane.state = BARRIER
+                lane.state = _LaneState.BARRIER
                 lane.barrier_request = r
-                barrier_waiting = True
             elif isinstance(r, rq.Activemask):
                 lane.pending = active_mask(lanes)
                 group_costs[rq.Activemask] = max(
-                    group_costs.get(rq.Activemask, 0.0), alu_cycles)
+                    group_costs.get(rq.Activemask, 0.0), self.alu_cycles)
             elif isinstance(r, rq.WarpCollective):
-                lane.state = COLLECTIVE
+                lane.state = _LaneState.COLLECTIVE
                 lane.collective = r
             elif isinstance(r, rq.AtomicRmw):
                 atomic_groups.setdefault((type(r), r.var, r.scope),
@@ -1283,27 +1150,52 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
             else:
                 key = type(r)
                 group_costs[key] = max(group_costs.get(key, 0.0),
-                                       mixed_simple(lane, r,
+                                       self._simple(lane, r,
                                                     sector_entries))
         for req_type, entries in sector_entries.items():
-            n_sectors = sector_count(entries)
-            if n_sectors > 1:
-                group_costs[req_type] += uncoalesced * (n_sectors - 1)
-        for (req_type, var, scope), group in atomic_groups.items():
-            group_costs[(req_type, var, scope)] = record_atomic(
+            group_costs[req_type] = self.global_cost(
+                self.sector_count(entries))
+        for key, group in atomic_groups.items():
+            group_costs[key] = self.atomic_group(
                 warp_id, [lane for lane, _ in group],
-                [r for _, r in group], req_type, var, scope, serial=True)
+                [r for _, r in group], serial=True)
         cost = sum(group_costs.values())
         if len(group_costs) > 1:
-            stats.divergent_passes += 1
-            cost += params.divergence_cycles * (len(group_costs) - 1)
-        return cost
+            self.stats.divergent_passes += 1
+            cost += self.params.divergence_cycles * (len(group_costs) - 1)
+        return cost, []
 
-    # --------------------------- collectives -------------------------- #
+    def _simple(self, lane, r, sector_entries) -> float:
+        """One lane's non-atomic request, as ``Cuda._execute_simple``."""
+        cls = r.__class__
+        stats = self.stats
+        if cls is rq.Alu:
+            return self.alu_cycles * r.n
+        if cls is rq.Syncwarp:
+            stats.syncwarps += 1
+            return self.prices.op(r.kind)
+        if cls is rq.Threadfence:
+            stats.fences += 1
+            return self.prices.op(r.kind)
+        is_read = cls in _READS
+        if not is_read and cls not in _WRITES:
+            raise CaptureEscape(f"unsupported request {cls.__name__} in "
+                                f"steady capture")
+        in_shared = _READS[cls] if is_read else _WRITES[cls]
+        handle = self.resolve(in_shared, [r])
+        if is_read:
+            self.load(handle, [lane])
+        else:
+            # A mixed pass stores lane by lane, in lane order.
+            self.store(handle, [r], False)
+        if not in_shared:
+            _, var, dtype, bases, coeffs = handle
+            sector_entries.setdefault(cls, []).append(
+                (var, bases[0], coeffs[0], dtype.itemsize))
+        return self._access(in_shared, handle, 1)
 
-    def maybe_collective(lanes):
-        """Mirror of ``Cuda._maybe_run_collective``; returns the cost or
-        None when no collective is ready."""
+    def collective(self, lanes):
+        """``Cuda._maybe_run_collective`` on symbolic values."""
         try:
             participants = Cuda._ready_collective(lanes)
         except SimulationError as exc:
@@ -1312,7 +1204,7 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
             return None
         first = participants[0].collective
         cls = first.__class__
-        stats.collectives += len(participants)
+        self.stats.collectives += len(participants)
         if cls is rq.ReduceMaxSync and any(
                 type(lane.collective.value) is Sym
                 for lane in participants):
@@ -1331,78 +1223,63 @@ def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
             is_float = value.kind == "f"
         else:
             is_float = isinstance(value, float)
-        cost = prices.op(cls.kind, DOUBLE if is_float else INT)
+        cost = self.prices.op(cls.kind, DOUBLE if is_float else INT)
         for lane in participants:
-            lane.state = RUNNING
+            lane.state = _LaneState.RUNNING
             lane.collective = None
-        return cost
+        return cost, cls.__name__
 
-    # ---------------------------- pass loop --------------------------- #
+    def release(self) -> bool:
+        try:
+            return self.cuda._maybe_release_barrier(
+                self.warps, self.warp_clocks, self.prices, self.stats)
+        except SimulationError as exc:
+            raise CaptureEscape(str(exc)) from None
 
-    while done_lanes < total_lanes:
-        progressed = False
-        for warp_id, lanes in enumerate(warps):
-            glanes = []
-            reqs = []
-            n_steps = 0
-            for lane in lanes:
-                if lane.state is not RUNNING:
-                    continue
-                n_steps += 1
-                try:
-                    request = lane.gen.send(lane.pending)
-                except StopIteration:
-                    lane.state = DONE
-                    done_lanes += 1
-                    continue
-                lane.pending = None
-                glanes.append(lane)
-                reqs.append(request)
-            if n_steps:
-                steps_total += n_steps
-                if steps_total > step_cap:
-                    raise CaptureEscape("step budget reached in capture")
-                progressed = True
-            if len(effects) > EFFECT_CAP:
-                raise CaptureEscape("plan too large")
-            if reqs:
-                cls = reqs[0].__class__
-                cost = None
-                if all(r.__class__ is cls for r in reqs):
-                    cost = uniform_pass(warp_id, lanes, glanes, reqs, cls)
-                if cost is None:
-                    cost = mixed_pass(warp_id, lanes, glanes, reqs)
-                collective = maybe_collective(lanes)
-                if collective is not None:
-                    cost += collective
-            else:
-                cost = maybe_collective(lanes)
-                if cost is None:
-                    continue
-                progressed = True
-            if cost > 0:
-                warp_clocks[warp_id] += cost
-        if barrier_waiting:
-            try:
-                released = cuda._maybe_release_barrier(
-                    warps, warp_clocks, prices, stats)
-            except SimulationError as exc:
-                raise CaptureEscape(str(exc)) from None
-            if released:
-                barrier_waiting = False
-                progressed = True
-        if not progressed:
-            raise CaptureEscape("deadlock during capture")
+    def deadlock(self) -> None:
+        raise CaptureEscape("deadlock during capture")
 
-    stat_deltas = tuple(
-        (f.name, getattr(stats, f.name)) for f in _dc_fields(stats)
-        if getattr(stats, f.name))
+
+def _encode(bases, coeffs):
+    """An effect's ``(idx_base, idx_coeff)``: ``idx_coeff`` is None when
+    no lane's index depends on the block, an int when every lane shares
+    it, else a per-lane array."""
+    c0 = coeffs[0]
+    if all(c == c0 for c in coeffs):
+        coeff = c0 or None
+    else:
+        coeff = np.array(coeffs, dtype=np.intp)
+    return np.array(bases, dtype=np.intp), coeff
+
+
+def capture_block_variant(cuda, kernel, launch, ctx, block_idx: int,
+                          mem_info: dict[str, tuple[int, np.dtype]],
+                          shared_decls: dict[str, tuple[int, np.dtype]],
+                          step_cap: int) -> BlockPlan:
+    """Dry-run block ``block_idx`` with symbolic values and a symbolic
+    block index, and record the plan variant it proves.
+
+    The returned plan's guard admits ``block_idx`` and every other block
+    for which all decisions taken on the block index come out the same.
+
+    Raises:
+        CaptureEscape: when the kernel is not steady (control flow,
+            indices, variants, or collectives depend on data), goes out
+            of bounds, or exceeds ``step_cap``/:data:`EFFECT_CAP` — the
+            caller falls back to the ordinary fast tier.
+    """
+    capture = _Capture(cuda, kernel, launch, ctx, block_idx, mem_info,
+                       shared_decls, step_cap)
+    cycles = capture.run()
+    stats = capture.stats
+    guard = capture.guard
     return BlockPlan(
-        cycles=max(warp_clocks) if warp_clocks else 0.0,
-        steps=steps_total,
-        n_slots=n_slots,
-        effects=effects,
-        stats=stat_deltas,
+        cycles=cycles,
+        steps=capture.steps,
+        n_slots=capture.n_slots,
+        effects=capture.effects,
+        stats=tuple((f.name, getattr(stats, f.name))
+                    for f in _dc_fields(stats) if getattr(stats, f.name)),
         lo=guard.lo,
         hi=guard.hi,
         excluded=frozenset(guard.excluded),

@@ -391,6 +391,14 @@ class Cuda:
     Args:
         device: The GPU to launch on.
         max_steps: Interpreter step budget per launch.
+        detect_races: Watch every launch with a
+            :class:`~repro.cuda.race.GpuRaceDetector`, which raises
+            ``DataRaceError`` at the first data race.  A watched launch
+            runs on the scalar reference scheduler and bypasses the
+            dispatch tiers.
+        collect_races: Like ``detect_races`` (it implies it), but the
+            detector records every race instead of raising; read them
+            from ``LaunchResult.races``.
         fast: Force the batched fast dispatch on/off; ``None`` follows
             the process default (fast unless ``SYNCPERF_ENGINE=reference``
             or inside :func:`repro.core.engine.reference_engine`), the
