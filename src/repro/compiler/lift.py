@@ -67,7 +67,6 @@ from repro.common.errors import SimulationError
 from repro.cuda import requests as rq
 from repro.cuda.interpreter import (
     Cuda, LaunchStats, _LaneState, active_mask, start_block)
-from repro.cuda.requests import apply_atomics
 from repro.cuda.warppass import WarpPasses
 
 
@@ -959,7 +958,7 @@ class BlockPlan:
             else:  # "a": atomic group, via the request table's applier
                 (_, cls, in_shared, var, base, coeff, slot, vspec, cspec,
                  mode) = eff
-                env[slot] = apply_atomics(
+                env[slot] = rq.apply_atomics(
                     cls, flat_of(in_shared, var),
                     base if coeff is None else base + coeff * b,
                     _eval_spec(vspec, env, b),

@@ -8,8 +8,9 @@ stats.  The directed cases pin the guard semantics of block-generic
 capture (a partial tail block, a ``blockIdx`` branch, non-affine block
 indexing, a stride whose coalescing count changes from block to block,
 per-lane coefficients that make address collisions block-dependent);
-the fuzz drives generated liftable programs over multi-block grids
-through the changes that really happen between launches: a rebound
+the fuzz drives generated liftable programs, which draw every request
+class the warp-pass rules price, over multi-block grids through the
+changes that really happen between launches: a rebound
 module global, a rebound closure cell, a lowered step budget, and a
 mutated cost parameter.
 """
